@@ -11,8 +11,7 @@ scenario + flags reproduce byte-identical outputs.  Subcommands:
   static-compare  pipeline vs closed-form sweep report (static profiles)
 
 Exit codes: 0 success, 1 scenario validation error, 2 verification failure
-(verify only), 3 numerical error.  TDHO_THREADS caps worker threads for the
-per-state sweeps (0 = auto).
+(verify only), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -217,32 +214,15 @@ def load_scenario(path) -> Scenario:
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TDHO_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ScenarioError(f"TDHO_THREADS must be an integer >= 0, got {raw!r}") from None
-    if value < 0:
-        raise ScenarioError(f"TDHO_THREADS must be an integer >= 0, got {raw!r}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items, optionally threaded, preserving order."""
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _omega_max(scenario: Scenario) -> float:
+    """Largest frequency on the scenario time grid."""
+    return float(np.sqrt(np.max(scenario.profile.omega_sq(scenario.time_grid()))))
 
 
 def _fine_union_grid(scenario: Scenario, extra=()) -> np.ndarray:
     """Scenario time grid merged with a grid fine enough for phase unwrap."""
     span = scenario.t_end - scenario.t_start
-    omega_max = float(np.sqrt(np.max(scenario.profile.omega_sq(scenario.time_grid()))))
+    omega_max = _omega_max(scenario)
     r_max = max((s.squeeze.r for s in scenario.states), default=0.0)
     density = max(
         4 * scenario.samples,
@@ -261,6 +241,33 @@ def _base_trajectory(scenario: Scenario, extra_times=()):
 
 def _indices_of(times: np.ndarray, targets: np.ndarray) -> list:
     return [int(np.argmin(np.abs(times - s))) for s in np.atleast_1d(targets)]
+
+
+def _wavefunctions(scenario: Scenario, specs: list, point, theta: float) -> list:
+    """Wave functions of states sharing alpha and squeeze at one mode point,
+    on one scenario grid sized for the highest n among them."""
+    x = spatial_grid(
+        point,
+        scenario.hbar,
+        n=max(spec.n for spec in specs),
+        alpha=specs[0].alpha,
+        points=scenario.grid_points,
+        half_width_sigmas=scenario.half_width_sigmas,
+    )
+    return [dsn_wavefunction(spec, point, x, theta=theta) for spec in specs]
+
+
+def _moments(scenario: Scenario, spec: StateSpec, point, grid):
+    """Analytic and quadrature moments of one state and their largest gap."""
+    analytic = analytic_moments(spec, point)
+    quad = quadrature_moments(grid, scenario.hbar)
+    gap = max(
+        abs(analytic.mean_x - quad.mean_x),
+        abs(analytic.mean_p - quad.mean_p),
+        abs(analytic.mean_x2 - quad.mean_x2),
+        abs(analytic.mean_p2 - quad.mean_p2),
+    )
+    return analytic, quad, gap
 
 
 def _state_label(spec: StateSpec) -> dict:
@@ -296,16 +303,7 @@ def _cmd_wavefunction(scenario: Scenario, args, outdir: Path) -> int:
     squeezed = apply_squeeze(base, spec.squeeze)
     _, theta = polar_decompose(squeezed)
     k = _indices_of(squeezed.t, np.array([t]))[0]
-    point = squeezed.point(k)
-    x = spatial_grid(
-        point,
-        scenario.hbar,
-        n=spec.n,
-        alpha=spec.alpha,
-        points=scenario.grid_points,
-        half_width_sigmas=scenario.half_width_sigmas,
-    )
-    grid = dsn_wavefunction(spec, point, x, theta=float(theta[k]))
+    (grid,) = _wavefunctions(scenario, [spec], squeezed.point(k), float(theta[k]))
     grid.meta["profile_hash"] = profile_hash(scenario.profile)
     path = outdir / f"wavefunction_state_{index:03d}_t_{io.fmt(t)}.csv"
     io.write_wavefunction_csv(grid, path)
@@ -320,23 +318,8 @@ def _moment_records(scenario: Scenario, base, spec: StateSpec) -> list:
     records = []
     for k in rows:
         point = squeezed.point(k)
-        x = spatial_grid(
-            point,
-            scenario.hbar,
-            n=spec.n,
-            alpha=spec.alpha,
-            points=scenario.grid_points,
-            half_width_sigmas=scenario.half_width_sigmas,
-        )
-        grid = dsn_wavefunction(spec, point, x, theta=float(theta[k]))
-        analytic = analytic_moments(spec, point)
-        quad = quadrature_moments(grid, scenario.hbar)
-        diff = max(
-            abs(analytic.mean_x - quad.mean_x),
-            abs(analytic.mean_p - quad.mean_p),
-            abs(analytic.mean_x2 - quad.mean_x2),
-            abs(analytic.mean_p2 - quad.mean_p2),
-        )
+        (grid,) = _wavefunctions(scenario, [spec], point, float(theta[k]))
+        analytic, quad, diff = _moments(scenario, spec, point, grid)
         records.append(
             {
                 "t": float(squeezed.t[k]),
@@ -351,8 +334,7 @@ def _moment_records(scenario: Scenario, base, spec: StateSpec) -> list:
 
 def _cmd_moments(scenario: Scenario, args, outdir: Path) -> int:
     base = _base_trajectory(scenario)
-    groups = _map_ordered(lambda spec: _moment_records(scenario, base, spec), scenario.states)
-    records = [rec for group in groups for rec in group]
+    records = [rec for spec in scenario.states for rec in _moment_records(scenario, base, spec)]
     worst = max(rec["max_abs_diff"] for rec in records)
     report = {
         "profile_hash": profile_hash(scenario.profile),
@@ -386,102 +368,48 @@ def _verify_checks(scenario: Scenario) -> list:
     time_grid = scenario.time_grid()
     probe_rows = sorted(set(_indices_of(base.t, time_grid[:: max(1, (len(time_grid) - 1) // 4)])))
 
-    def check_state(item):
-        idx, spec = item
-        results = []
+    fine = None
+    if any(spec.alpha != 0 for spec in scenario.states):
+        # uniform grid for the classical-equation stencils; shared by every
+        # displaced state, each squeezing it with its own parameters
+        span = scenario.t_end - scenario.t_start
+        omega_ref = max(0.25, _omega_max(scenario))
+        count = max(2049, int(math.ceil(span * omega_ref / 0.02)) + 1)
+        uniform = np.linspace(scenario.t_start, scenario.t_end, count)
+        fine = evolve_mode(scenario.profile, base.point(0), uniform, rel_tol=scenario.ode_rel_tol)
+
+    for idx, spec in enumerate(scenario.states):
         squeezed = apply_squeeze(base, spec.squeeze)
         _, theta = polar_decompose(squeezed)
-        results.append(
-            (
-                "wronskian_drift_squeezed",
-                {"state": idx},
-                squeezed.max_wronskian_drift,
-                WRONSKIAN_TOL,
-                True,
-            )
-        )
+        add("wronskian_drift_squeezed", {"state": idx}, squeezed.max_wronskian_drift, WRONSKIAN_TOL)
         for k in probe_rows:
             point = squeezed.point(k)
-            x = spatial_grid(
-                point,
-                scenario.hbar,
-                n=spec.n,
-                alpha=spec.alpha,
-                points=scenario.grid_points,
-                half_width_sigmas=scenario.half_width_sigmas,
-            )
-            grid = dsn_wavefunction(spec, point, x, theta=float(theta[k]))
+            (grid,) = _wavefunctions(scenario, [spec], point, float(theta[k]))
             t_k = float(squeezed.t[k])
-            results.append(
-                (
-                    "normalization",
-                    {"state": idx, "t": t_k},
-                    abs(grid.norm_sq() - 1.0),
-                    scenario.quadrature_tol,
-                    True,
-                )
+            add(
+                "normalization",
+                {"state": idx, "t": t_k},
+                abs(grid.norm_sq() - 1.0),
+                scenario.quadrature_tol,
             )
-            analytic = analytic_moments(spec, point)
-            quad = quadrature_moments(grid, scenario.hbar)
-            gap = max(
-                abs(analytic.mean_x - quad.mean_x),
-                abs(analytic.mean_p - quad.mean_p),
-                abs(analytic.mean_x2 - quad.mean_x2),
-                abs(analytic.mean_p2 - quad.mean_p2),
-            )
-            results.append(
-                ("moment_agreement", {"state": idx, "t": t_k}, gap, scenario.quadrature_tol, True)
-            )
+            _, quad, gap = _moments(scenario, spec, point, grid)
+            add("moment_agreement", {"state": idx, "t": t_k}, gap, scenario.quadrature_tol)
             floor = scenario.hbar * (spec.n + 0.5) - scenario.quadrature_tol
-            results.append(
-                (
-                    "uncertainty_floor",
-                    {"state": idx, "t": t_k},
-                    quad.uncertainty_product,
-                    floor,
-                    False,
-                )
+            add(
+                "uncertainty_floor",
+                {"state": idx, "t": t_k},
+                quad.uncertainty_product,
+                floor,
+                larger_is_fail=False,
             )
         if spec.alpha != 0:
-            span = scenario.t_end - scenario.t_start
-            omega_ref = max(0.25, float(np.sqrt(np.max(scenario.profile.omega_sq(time_grid)))))
-            count = max(2049, int(math.ceil(span * omega_ref / 0.02)) + 1)
-            uniform = np.linspace(scenario.t_start, scenario.t_end, count)
-            fine = evolve_mode(
-                scenario.profile, base.point(0), uniform, rel_tol=scenario.ode_rel_tol
-            )
             fine_nu = apply_squeeze(fine, spec.squeeze)
             classical = classical_equation_residual(fine_nu, spec.alpha, scenario.hbar)
-            results.append(
-                (
-                    "classical_equation",
-                    {"state": idx},
-                    classical["equation_residual"],
-                    CLASSICAL_TOL,
-                    True,
-                )
-            )
-            results.append(
-                (
-                    "classical_momentum",
-                    {"state": idx},
-                    classical["momentum_mismatch"],
-                    CLASSICAL_TOL,
-                    True,
-                )
-            )
+            add("classical_equation", {"state": idx}, classical["equation_residual"], CLASSICAL_TOL)
+            add("classical_momentum", {"state": idx}, classical["momentum_mismatch"], CLASSICAL_TOL)
         t_mid = 0.5 * (scenario.t_start + scenario.t_end)
-        residual = schrodinger_residual(
-            spec, scenario.profile, base, t_mid, scenario.residual_dt
-        )
-        results.append(
-            ("schrodinger_residual", {"state": idx, "t": t_mid}, residual, RESIDUAL_TOL, True)
-        )
-        return results
-
-    for results in _map_ordered(check_state, list(enumerate(scenario.states))):
-        for name, inputs, residual, tolerance, larger_is_fail in results:
-            add(name, inputs, residual, tolerance, larger_is_fail)
+        residual = schrodinger_residual(spec, scenario.profile, base, t_mid, scenario.residual_dt)
+        add("schrodinger_residual", {"state": idx, "t": t_mid}, residual, RESIDUAL_TOL)
 
     # orthogonality between states sharing a mode and a displacement
     groups: dict = {}
@@ -491,31 +419,19 @@ def _verify_checks(scenario: Scenario) -> list:
     for key, members in groups.items():
         if len(members) < 2:
             continue
-        r, phi, alpha = key
+        r, phi, _ = key
         squeezed = apply_squeeze(base, SqueezeParams(r=r, phi=phi))
         _, theta = polar_decompose(squeezed)
         k = probe_rows[len(probe_rows) // 2]
-        point = squeezed.point(k)
-        n_top = max(spec.n for _, spec in members)
-        x = spatial_grid(
-            point,
-            scenario.hbar,
-            n=n_top,
-            alpha=alpha,
-            points=scenario.grid_points,
-            half_width_sigmas=scenario.half_width_sigmas,
+        grids = _wavefunctions(
+            scenario, [spec for _, spec in members], squeezed.point(k), float(theta[k])
         )
-        grids = {
-            idx: dsn_wavefunction(spec, point, x, theta=float(theta[k]))
-            for idx, spec in members
-        }
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
-                ia, sa = members[a]
-                ib, sb = members[b]
+                (ia, sa), (ib, sb) = members[a], members[b]
                 if sa.n == sb.n:
                     continue
-                overlap = abs(inner_product(grids[ia], grids[ib]))
+                overlap = abs(inner_product(grids[a], grids[b]))
                 add(
                     "orthogonality",
                     {"states": [ia, ib], "t": float(squeezed.t[k])},
@@ -583,23 +499,19 @@ def _cmd_static_compare(scenario: Scenario, args, outdir: Path) -> int:
         raise ScenarioError("static-compare requires t_start >= 0")
     times = scenario.time_grid()
 
-    def run(item):
-        idx, spec = item
-        return [
-            crosscheck_static(
-                spec.squeeze,
-                spec.n,
-                spec.alpha,
-                float(t),
-                m0=p["m0"],
-                omega0=p["omega0"],
-                hbar=scenario.hbar,
-            )
-            for t in times
-        ]
-
-    groups = _map_ordered(run, list(enumerate(scenario.states)))
-    reports = [rep for group in groups for rep in group]
+    reports = [
+        crosscheck_static(
+            spec.squeeze,
+            spec.n,
+            spec.alpha,
+            float(t),
+            m0=p["m0"],
+            omega0=p["omega0"],
+            hbar=scenario.hbar,
+        )
+        for spec in scenario.states
+        for t in times
+    ]
     worst = max(rep["max_pointwise_diff"] for rep in reports)
     summary = {
         "profile_hash": profile_hash(scenario.profile),

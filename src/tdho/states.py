@@ -254,27 +254,7 @@ def number_wavefunction(
     ``theta`` is the unwrapped mode phase; it defaults to the principal
     value of -arg(u), which fixes the overall phase at a single time.
     """
-    if n < 0 or n > N_MAX_DEFAULT:
-        raise ValueError(f"n must lie in [0, {N_MAX_DEFAULT}], got {n}")
-    _guard_wronskian(mode)
-    x = np.asarray(x, dtype=float)
-    th = _mode_theta(mode, theta)
-    psi = _gaussian_hermite(n, mode, hbar, x, th, 0.0, 0.0)
-    grid = WaveFunctionGrid(
-        mode.t,
-        x,
-        psi,
-        meta={
-            "n": n,
-            "alpha": 0j,
-            "hbar": hbar,
-            "theta": th,
-            "x_c": 0.0,
-            "p_c": 0.0,
-        },
-    )
-    _check_coverage(grid, "number_wavefunction")
-    return grid
+    return dsn_wavefunction(StateSpec(n=n, hbar=hbar), mode, x, theta=theta)
 
 
 def dsn_wavefunction(

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from tdho import cli
 from tdho.cli import load_scenario, main
 from tdho.errors import ScenarioError
+from tdho.mode_solver import evolve_mode
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -65,6 +67,20 @@ def test_verify_shipped_static_scenario(tmp_path, capsys):
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["checks_failed"] == 0
     assert all(check["passed"] for check in report["checks"])
+
+
+def test_verify_solves_fine_grid_once(tmp_path, monkeypatch):
+    # one base solve and one uniform fine-grid solve shared by the displaced
+    # states; the Schrodinger residual re-solves through its own module
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evolve_mode(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve_mode", counting)
+    assert main(["verify", str(SCENARIOS / "static.json"), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
 
 
 def test_verify_failure_exits_2(tmp_path):
@@ -133,22 +149,6 @@ def test_moments_deterministic(tmp_path):
     report = json.loads((out_a / "moments.json").read_text())
     assert report["worst_max_abs_diff"] <= 1e-6
     assert len(report["records"]) == 4 * 33
-
-
-def test_moments_threaded_matches_sequential(tmp_path, monkeypatch):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("TDHO_THREADS", "1")
-    assert main(["moments", str(SCENARIOS / "quench.json"), "--out", str(out_a)]) == 0
-    monkeypatch.setenv("TDHO_THREADS", "3")
-    assert main(["moments", str(SCENARIOS / "quench.json"), "--out", str(out_b)]) == 0
-    assert (out_a / "moments.json").read_bytes() == (out_b / "moments.json").read_bytes()
-
-
-def test_threads_env_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TDHO_THREADS", "lots")
-    path = write_scenario(tmp_path)
-    assert main(["moments", path, "--out", str(tmp_path / "out")]) == 1
-    assert "TDHO_THREADS" in capsys.readouterr().err
 
 
 def test_static_compare_requires_static(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdho import (
@@ -174,9 +174,11 @@ def test_squeeze_composition_additive(static_profile):
     r=st.floats(min_value=0.0, max_value=5.0),
     phi=st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
 )
+@example(r=5.0, phi=0.0)
 def test_squeeze_params_hyperbolic_identity(r, phi):
     sq = SqueezeParams(r, phi)
-    assert abs(abs(sq.mu) ** 2 - abs(sq.nu) ** 2 - 1.0) <= 1e-12
+    # |mu|^2 + |nu|^2 = cosh(2r): rounding of the difference scales with it
+    assert abs(abs(sq.mu) ** 2 - abs(sq.nu) ** 2 - 1.0) <= 1e-12 * math.cosh(2 * r)
 
 
 @settings(max_examples=40, deadline=None)
