@@ -51,6 +51,10 @@ WRONSKIAN_TOL = 1e-8
 ORTHOGONALITY_TOL = 1e-8
 RESIDUAL_TOL = 1e-4
 CLASSICAL_TOL = 1e-6
+#: step of the classical-equation stencils times the fastest rate of the mode
+#: or the profile: coarser steps lose the 8th-order stencils' accuracy, finer
+#: ones amplify the integrator's error
+STENCIL_STEP = 0.15
 NIETO_T0_TOL = 1e-12
 NIETO_TIME_TOL = 1e-10
 CROSSCHECK_TOL = 1e-10
@@ -219,28 +223,29 @@ def _omega_max(scenario: Scenario) -> float:
     return float(np.sqrt(np.max(scenario.profile.omega_sq(scenario.time_grid()))))
 
 
-def _fine_union_grid(scenario: Scenario, extra=()) -> np.ndarray:
-    """Scenario time grid merged with a grid fine enough for phase unwrap."""
+def _base_trajectory(scenario: Scenario, at=None, min_stride=4):
+    """Base mode on one uniform path that holds the scenario time grid.
+
+    Each time-grid step is split into ``stride`` equal sub-steps, at least
+    ``min_stride`` and enough to unwrap the phase of the most squeezed state,
+    so row ``j * stride`` is time-grid sample j bit for bit.  Returns the
+    trajectory and the rows of the time grid, or with ``at`` the row of that
+    one time, merged into the path.
+    """
+    coarse = scenario.time_grid()
     span = scenario.t_end - scenario.t_start
-    omega_max = _omega_max(scenario)
     r_max = max((s.squeeze.r for s in scenario.states), default=0.0)
-    density = max(
-        4 * scenario.samples,
-        int(math.ceil(span * 16.0 * max(omega_max, 0.25) * math.exp(2.0 * r_max))) + 1,
-    )
-    fine = np.linspace(scenario.t_start, scenario.t_end, density)
-    merged = np.union1d(np.union1d(fine, scenario.time_grid()), np.asarray(extra, dtype=float))
-    return merged
-
-
-def _base_trajectory(scenario: Scenario, extra_times=()):
+    needed = span * 16.0 * max(_omega_max(scenario), 0.25) * math.exp(2.0 * r_max)
+    stride = max(min_stride, math.ceil(needed / (scenario.samples - 1)))
+    steps = coarse[:-1, None] + np.diff(coarse)[:, None] * (np.arange(stride) / stride)
+    path = np.append(steps.ravel(), coarse[-1])
+    if at is None:
+        rows = np.arange(scenario.samples) * stride
+    else:
+        path = np.union1d(path, [at])
+        rows = np.searchsorted(path, [at])
     initial = wkb_mode(scenario.profile, scenario.t_start)
-    path = _fine_union_grid(scenario, extra_times)
-    return evolve_mode(scenario.profile, initial, path, rel_tol=scenario.ode_rel_tol)
-
-
-def _indices_of(times: np.ndarray, targets: np.ndarray) -> list:
-    return [int(np.argmin(np.abs(times - s))) for s in np.atleast_1d(targets)]
+    return evolve_mode(scenario.profile, initial, path, rel_tol=scenario.ode_rel_tol), rows
 
 
 def _wavefunctions(scenario: Scenario, specs: list, point, theta: float) -> list:
@@ -281,8 +286,10 @@ def _state_label(spec: StateSpec) -> dict:
 
 # ---------------------------------------------------------------- commands
 def _cmd_evolve(scenario: Scenario, args, outdir: Path) -> int:
-    base = _base_trajectory(scenario)
-    rows = _indices_of(base.t, scenario.time_grid())
+    base, rows = _base_trajectory(scenario)
+    if not scenario.write_csv:
+        print(f"evolve: {1 + len(scenario.states)} trajectories, CSV output disabled")
+        return 0
     io.write_trajectory_csv(base, outdir / "trajectory_base.csv", indices=rows)
     for i, spec in enumerate(scenario.states):
         squeezed = apply_squeeze(base, spec.squeeze)
@@ -299,11 +306,13 @@ def _cmd_wavefunction(scenario: Scenario, args, outdir: Path) -> int:
     if not scenario.t_start <= t <= scenario.t_end:
         raise ScenarioError(f"--t {t} outside the scenario window")
     spec = scenario.states[index]
-    base = _base_trajectory(scenario, extra_times=[t])
+    base, (k,) = _base_trajectory(scenario, at=t)
     squeezed = apply_squeeze(base, spec.squeeze)
     _, theta = polar_decompose(squeezed)
-    k = _indices_of(squeezed.t, np.array([t]))[0]
     (grid,) = _wavefunctions(scenario, [spec], squeezed.point(k), float(theta[k]))
+    if not scenario.write_csv:
+        print(f"wavefunction: state {index} at t={io.fmt(t)}, CSV output disabled")
+        return 0
     grid.meta["profile_hash"] = profile_hash(scenario.profile)
     path = outdir / f"wavefunction_state_{index:03d}_t_{io.fmt(t)}.csv"
     io.write_wavefunction_csv(grid, path)
@@ -311,10 +320,9 @@ def _cmd_wavefunction(scenario: Scenario, args, outdir: Path) -> int:
     return 0
 
 
-def _moment_records(scenario: Scenario, base, spec: StateSpec) -> list:
+def _moment_records(scenario: Scenario, base, rows, spec: StateSpec) -> list:
     squeezed = apply_squeeze(base, spec.squeeze)
     _, theta = polar_decompose(squeezed)
-    rows = _indices_of(squeezed.t, scenario.time_grid())
     records = []
     for k in rows:
         point = squeezed.point(k)
@@ -333,8 +341,10 @@ def _moment_records(scenario: Scenario, base, spec: StateSpec) -> list:
 
 
 def _cmd_moments(scenario: Scenario, args, outdir: Path) -> int:
-    base = _base_trajectory(scenario)
-    records = [rec for spec in scenario.states for rec in _moment_records(scenario, base, spec)]
+    base, rows = _base_trajectory(scenario)
+    records = [
+        rec for spec in scenario.states for rec in _moment_records(scenario, base, rows, spec)
+    ]
     worst = max(rec["max_abs_diff"] for rec in records)
     report = {
         "profile_hash": profile_hash(scenario.profile),
@@ -362,25 +372,24 @@ def _verify_checks(scenario: Scenario) -> list:
             }
         )
 
-    base = _base_trajectory(scenario)
+    # the classical-equation stencils use one row in `every`: a step that
+    # resolves omega and the profile's own rate to STENCIL_STEP whatever
+    # squeeze set the path's density, over at least the 17 samples they need
+    span = scenario.t_end - scenario.t_start
+    rate = max(_omega_max(scenario), scenario.profile.change_rate(scenario.t_start, scenario.t_end))
+    stencil = math.ceil(max(span * max(rate, 0.25) / STENCIL_STEP, 16.0) / (scenario.samples - 1))
+    base, rows = _base_trajectory(scenario, min_stride=max(4, stencil))
+    every = rows[1] // stencil
     add("wronskian_drift_base", {"profile": scenario.profile.kind}, base.max_wronskian_drift, WRONSKIAN_TOL)
+    probe_rows = rows[:: max(1, (len(rows) - 1) // 4)]
 
-    time_grid = scenario.time_grid()
-    probe_rows = sorted(set(_indices_of(base.t, time_grid[:: max(1, (len(time_grid) - 1) // 4)])))
-
-    fine = None
-    if any(spec.alpha != 0 for spec in scenario.states):
-        # uniform grid for the classical-equation stencils; shared by every
-        # displaced state, each squeezing it with its own parameters
-        span = scenario.t_end - scenario.t_start
-        omega_ref = max(0.25, _omega_max(scenario))
-        count = max(2049, int(math.ceil(span * omega_ref / 0.02)) + 1)
-        uniform = np.linspace(scenario.t_start, scenario.t_end, count)
-        fine = evolve_mode(scenario.profile, base.point(0), uniform, rel_tol=scenario.ode_rel_tol)
-
+    # states sharing a mode and a displacement, keyed to that shared mode
+    groups: dict = {}
     for idx, spec in enumerate(scenario.states):
         squeezed = apply_squeeze(base, spec.squeeze)
         _, theta = polar_decompose(squeezed)
+        _, _, members = groups.setdefault((spec.squeeze, spec.alpha), (squeezed, theta, []))
+        members.append((idx, spec))
         add("wronskian_drift_squeezed", {"state": idx}, squeezed.max_wronskian_drift, WRONSKIAN_TOL)
         for k in probe_rows:
             point = squeezed.point(k)
@@ -403,8 +412,7 @@ def _verify_checks(scenario: Scenario) -> list:
                 larger_is_fail=False,
             )
         if spec.alpha != 0:
-            fine_nu = apply_squeeze(fine, spec.squeeze)
-            classical = classical_equation_residual(fine_nu, spec.alpha, scenario.hbar)
+            classical = classical_equation_residual(squeezed, spec.alpha, scenario.hbar, every)
             add("classical_equation", {"state": idx}, classical["equation_residual"], CLASSICAL_TOL)
             add("classical_momentum", {"state": idx}, classical["momentum_mismatch"], CLASSICAL_TOL)
         t_mid = 0.5 * (scenario.t_start + scenario.t_end)
@@ -412,16 +420,9 @@ def _verify_checks(scenario: Scenario) -> list:
         add("schrodinger_residual", {"state": idx, "t": t_mid}, residual, RESIDUAL_TOL)
 
     # orthogonality between states sharing a mode and a displacement
-    groups: dict = {}
-    for idx, spec in enumerate(scenario.states):
-        key = (spec.squeeze.r, spec.squeeze.phi, spec.alpha)
-        groups.setdefault(key, []).append((idx, spec))
-    for key, members in groups.items():
+    for squeezed, theta, members in groups.values():
         if len(members) < 2:
             continue
-        r, phi, _ = key
-        squeezed = apply_squeeze(base, SqueezeParams(r=r, phi=phi))
-        _, theta = polar_decompose(squeezed)
         k = probe_rows[len(probe_rows) // 2]
         grids = _wavefunctions(
             scenario, [spec for _, spec in members], squeezed.point(k), float(theta[k])

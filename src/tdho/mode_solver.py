@@ -98,18 +98,9 @@ class ModeTrajectory:
             mass=float(self.mass[index]),
         )
 
-    def points(self):
-        return (self.point(i) for i in range(len(self)))
-
     @property
     def max_wronskian_drift(self) -> float:
         return float(np.max(np.abs(wronskian(self) - 1j)))
-
-    def index_of(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.t - t)))
-        if abs(self.t[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not a sample of this trajectory")
-        return i
 
 
 def wronskian(mode):

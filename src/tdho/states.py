@@ -24,7 +24,7 @@ static closed forms are phase-sensitive and pass under these choices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import trapezoid
@@ -33,7 +33,7 @@ from ._numerics import derivative
 from .errors import GridError
 from .mode_solver import ModePoint, ModeTrajectory, SqueezeParams, wronskian
 
-#: default ceiling on the quantum number; beyond this the factor (n + 1/2)
+#: ceiling on the quantum number; beyond this the factor (n + 1/2)
 #: amplifies phase-unwrap error past the tolerance budgets.
 N_MAX_DEFAULT = 200
 
@@ -59,13 +59,12 @@ class StateSpec:
     alpha: complex = 0j
     squeeze: SqueezeParams = SqueezeParams(0.0, 0.0)
     hbar: float = 1.0
-    n_max: int = N_MAX_DEFAULT
 
     def __post_init__(self):
         if self.n < 0 or self.n != int(self.n):
             raise ValueError(f"quantum number n must be a non-negative integer, got {self.n}")
-        if self.n > self.n_max:
-            raise ValueError(f"n={self.n} exceeds the ceiling n_max={self.n_max}")
+        if self.n > N_MAX_DEFAULT:
+            raise ValueError(f"n={self.n} exceeds the ceiling n_max={N_MAX_DEFAULT}")
         if self.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         object.__setattr__(self, "alpha", complex(self.alpha))

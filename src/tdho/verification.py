@@ -35,6 +35,9 @@ from .mode_solver import (
 from .profiles import OscillatorProfile, evaluate_profile
 from .states import StateSpec, classical_trajectory, dsn_wavefunction, spatial_grid
 
+#: relative tolerance of the fresh mode solves behind schrodinger_residual.
+RESIDUAL_ODE_REL_TOL = 1e-11
+
 
 @dataclass(frozen=True)
 class StaticCoefficients:
@@ -212,7 +215,6 @@ def crosscheck_static(
     n: int,
     alpha: complex,
     t: float,
-    x: np.ndarray | None = None,
     m0: float = 1.0,
     omega0: float = 1.0,
     hbar: float = 1.0,
@@ -236,8 +238,7 @@ def crosscheck_static(
     _, theta_arr = polar_decompose(traj_nu)
     point = traj_nu.point(len(traj_nu) - 1)
     spec = StateSpec(n=n, alpha=alpha, squeeze=sq, hbar=hbar)
-    if x is None:
-        x = spatial_grid(point, hbar, n=n, alpha=alpha)
+    x = spatial_grid(point, hbar, n=n, alpha=alpha)
     psi_pipeline = dsn_wavefunction(spec, point, x, theta=float(theta_arr[-1]))
     psi_closed = static_closed_form_wavefunction(sq, n, alpha, t, x, m0, omega0, hbar)
     max_diff = float(np.max(np.abs(psi_pipeline.psi - psi_closed)))
@@ -262,8 +263,6 @@ def schrodinger_residual(
     traj: ModeTrajectory,
     t: float,
     dt: float,
-    x: np.ndarray | None = None,
-    rel_tol: float = 1e-11,
 ) -> float:
     """Relative residual of i hbar dPsi/dt = H Psi at time t.
 
@@ -290,7 +289,7 @@ def schrodinger_residual(
     density = max(256, int(math.ceil((t + dt - t0) * 16.0 * max(omega_max, 0.25) * boost)) + 1)
     for attempt in range(3):
         path = np.union1d(np.linspace(t0, t + dt, density), eval_times)
-        base = evolve_mode(profile, traj.point(0), path, rel_tol=rel_tol)
+        base = evolve_mode(profile, traj.point(0), path, rel_tol=RESIDUAL_ODE_REL_TOL)
         mode_nu = apply_squeeze(base, spec.squeeze)
         try:
             _, theta_arr = polar_decompose(mode_nu)
@@ -303,8 +302,7 @@ def schrodinger_residual(
     indices = [int(np.argmin(np.abs(path - s))) for s in eval_times]
     points = [mode_nu.point(i) for i in indices]
     thetas = [float(theta_arr[i]) for i in indices]
-    if x is None:
-        x = spatial_grid(points[1], spec.hbar, n=spec.n, alpha=spec.alpha)
+    x = spatial_grid(points[1], spec.hbar, n=spec.n, alpha=spec.alpha)
     psis = [
         dsn_wavefunction(spec, pt, x, theta=th).psi for pt, th in zip(points, thetas)
     ]
@@ -321,16 +319,18 @@ def schrodinger_residual(
     return num / den
 
 
-def classical_equation_residual(traj: ModeTrajectory, alpha: complex, hbar: float) -> dict:
+def classical_equation_residual(
+    traj: ModeTrajectory, alpha: complex, hbar: float, every: int = 1
+) -> dict:
     """Finite-difference check that the displaced-state center obeys the
     classical equation of motion m x'' + m' x' + m omega^2 x = 0 and that
     p_c = m x_c'.
 
-    Requires a uniform trajectory grid; derivatives use the 8th-order
-    stencil on interior samples only.  Returns the relative equation
-    residual and the max |p_c - m x_c'|.
+    Requires a uniform trajectory grid, of which every ``every``-th sample
+    is used; derivatives use the 8th-order stencil on interior samples only.
+    Returns the relative equation residual and the max |p_c - m x_c'|.
     """
-    t = traj.t
+    t = traj.t[::every]
     if t.size < 17:
         raise ValueError("need at least 17 uniform samples")
     dt = (t[-1] - t[0]) / (t.size - 1)
@@ -338,7 +338,7 @@ def classical_equation_residual(traj: ModeTrajectory, alpha: complex, hbar: floa
         raise ValueError("trajectory time grid must be uniform")
     if traj.profile is None:
         raise ValueError("trajectory must carry its profile")
-    x_c, p_c = classical_trajectory(alpha, traj, hbar)
+    x_c, p_c = (values[::every] for values in classical_trajectory(alpha, traj, hbar))
     # interior samples 4 .. N-5, where the stencil needs no zero padding
     xd = derivative(x_c, dt)[4:-4]
     xdd = second_derivative(x_c, dt)[4:-4]

@@ -69,9 +69,9 @@ def test_verify_shipped_static_scenario(tmp_path, capsys):
     assert all(check["passed"] for check in report["checks"])
 
 
-def test_verify_solves_fine_grid_once(tmp_path, monkeypatch):
-    # one base solve and one uniform fine-grid solve shared by the displaced
-    # states; the Schrodinger residual re-solves through its own module
+def test_verify_solves_mode_once(tmp_path, monkeypatch):
+    # one base solve serves every state, the classical-equation stencils
+    # included; the Schrodinger residual re-solves through its own module
     calls = []
 
     def counting(*args, **kwargs):
@@ -80,7 +80,75 @@ def test_verify_solves_fine_grid_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "evolve_mode", counting)
     assert main(["verify", str(SCENARIOS / "static.json"), "--out", str(tmp_path)]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_verify_short_window_displaced_state(tmp_path):
+    # two time samples half a unit apart still give the classical-equation
+    # stencils the 17 uniform samples they need
+    path = write_scenario(
+        tmp_path,
+        states=[{"n": 1, "alpha": [0.5, 0.2]}],
+        time_grid={"t_start": 0.0, "t_end": 0.5, "samples": 2},
+    )
+    assert main(["verify", path, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert "classical_equation" in {check["check"] for check in report["checks"]}
+
+
+def test_verify_tanh_quench_classical_equation(tmp_path):
+    # a quench whose classical-equation residual lies close to the 1e-6
+    # tolerance (1.28e-6 when the centre was sampled on a grid of its own)
+    alpha = [0.42409816582349924, -0.11355627866714113]
+    shared = {"alpha": alpha, "r": 0.4404553293121022, "phi": 0.07921903855348722}
+    path = write_scenario(
+        tmp_path,
+        profile={
+            "kind": "tanh_quench",
+            "m0": 1.2875582023918792,
+            "omega_initial": 0.9094458553060549,
+            "omega_final": 0.9061051315983298,
+            "t_center": 3.3178844662875813,
+            "width": 0.3,
+        },
+        states=[dict(shared, n=9), dict(shared, n=5)],
+        time_grid={"t_start": 0.0, "t_end": 5.762755799596926, "samples": 33},
+        grid={"points": 4096, "half_width_sigmas": 8.0},
+    )
+    assert main(["verify", path, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    classical = [c for c in report["checks"] if c["check"] == "classical_equation"]
+    assert len(classical) == 2 and all(c["passed"] for c in classical)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        {"kind": "sinusoidal", "m0": 1.0, "omega0": 1.0, "depth": 0.02, "rate": 20.0},
+        {
+            "kind": "tanh_quench",
+            "m0": 1.0,
+            "omega_initial": 1.0,
+            "omega_final": 1.4,
+            "t_center": 3.0,
+            "width": 0.05,
+        },
+    ],
+)
+def test_verify_fast_profile_classical_equation(tmp_path, profile):
+    # a profile changing much faster than the mode oscillates: the stencil
+    # step must resolve the profile's own rate, not only omega
+    path = write_scenario(
+        tmp_path,
+        profile=profile,
+        states=[{"n": 2, "alpha": [0.4, -0.1], "phi": 0.1}],
+        time_grid={"t_start": 0.0, "t_end": 6.0, "samples": 33},
+        grid={"points": 1024, "half_width_sigmas": 8.0},
+    )
+    assert main(["verify", path, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    classical = [c for c in report["checks"] if c["check"] == "classical_equation"]
+    assert len(classical) == 1 and classical[0]["passed"]
 
 
 def test_verify_failure_exits_2(tmp_path):
@@ -139,6 +207,14 @@ def test_evolve_writes_trajectories(tmp_path):
     lines = files[0].read_text().splitlines()
     assert lines[0].startswith("t,re_u,im_u")
     assert len(lines) == 1 + 33  # header + scenario samples
+
+
+@pytest.mark.parametrize("command", ["evolve", "wavefunction"])
+def test_csv_output_disabled(tmp_path, capsys, command):
+    path = write_scenario(tmp_path, outputs={"csv": False})
+    assert main([command, path, "--out", str(tmp_path / "out")]) == 0
+    assert not list((tmp_path / "out").glob("*.csv"))
+    assert "wrote" not in capsys.readouterr().out
 
 
 def test_moments_deterministic(tmp_path):

@@ -204,3 +204,17 @@ def test_classical_residual_quench(quench_profile):
     result = classical_equation_residual(traj_nu, 1.0 + 0.5j, 1.0)
     assert result["equation_residual"] <= 1e-6
     assert result["momentum_mismatch"] <= 1e-6
+
+
+def test_classical_residual_every_matches_subsampled(quench_profile):
+    t_grid = np.linspace(0.0, 10.0, 2001)
+    traj = evolve_mode(quench_profile, wkb_mode(quench_profile, 0.0), t_grid)
+    traj_nu = apply_squeeze(traj, SqueezeParams(0.5, 0.3))
+    coarse = evolve_mode(quench_profile, wkb_mode(quench_profile, 0.0), t_grid[::4])
+    # the ODE solve itself does not depend on the output grid, so every 4th
+    # sample of the fine trajectory is the coarse trajectory
+    assert np.array_equal(coarse.u, traj.u[::4])
+    coarse_nu = apply_squeeze(coarse, SqueezeParams(0.5, 0.3))
+    assert classical_equation_residual(traj_nu, 1.0 + 0.5j, 1.0, every=4) == (
+        classical_equation_residual(coarse_nu, 1.0 + 0.5j, 1.0)
+    )
