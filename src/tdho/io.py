@@ -30,25 +30,11 @@ def write_trajectory_csv(traj: ModeTrajectory, path, indices=None) -> None:
     """
     rho, theta = polar_decompose(traj)
     drift = np.abs(wronskian(traj) - 1j)
-    if indices is None:
-        indices = range(len(traj))
+    selected = slice(None) if indices is None else indices
+    columns = (traj.t, traj.u.real, traj.u.imag, traj.u_dot.real, traj.u_dot.imag)
+    rows = np.column_stack([c[selected] for c in columns + (drift, rho, theta)]).tolist()
     lines = ["t,re_u,im_u,re_u_dot,im_u_dot,abs_wronskian_minus_i,rho,theta"]
-    for i in indices:
-        lines.append(
-            ",".join(
-                fmt(v)
-                for v in (
-                    traj.t[i],
-                    traj.u[i].real,
-                    traj.u[i].imag,
-                    traj.u_dot[i].real,
-                    traj.u_dot[i].imag,
-                    drift[i],
-                    rho[i],
-                    theta[i],
-                )
-            )
-        )
+    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

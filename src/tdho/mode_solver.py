@@ -169,9 +169,12 @@ def evolve_mode(
 
     Uses an adaptive embedded Runge-Kutta pair (DOP853) on the first-order
     complex system (u, u'), with dense output interpolated onto the
-    requested grid.  The initial point must satisfy the Wronskian
-    normalization to 1e-12; drift along the trajectory is reported through
-    ModeTrajectory.max_wronskian_drift, never corrected.
+    requested grid.  The right-hand side reads (m'/m, omega^2) from one
+    scalar ``profile.coefficients(t)`` call per evaluation; a non-positive
+    mass raises ModeSolverError naming the last good time.  The initial
+    point must satisfy the Wronskian normalization to 1e-12; drift along the
+    trajectory is reported through ModeTrajectory.max_wronskian_drift, never
+    corrected.
     """
     if not 1e-13 <= rel_tol <= 1e-6:
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-6], got {rel_tol}")
@@ -189,14 +192,12 @@ def evolve_mode(
         )
 
     last_good = [initial.t]
+    coefficients = profile.coefficients
 
     def rhs(t, y):
-        mass, omega_sq = evaluate_profile(profile, t)
-        mass_dot = float(profile.mass_dot(t))
+        _, k, omega_sq = coefficients(t)
         last_good[0] = t
-        return np.array(
-            [y[1], -(mass_dot / mass) * y[1] - omega_sq * y[0]], dtype=complex
-        )
+        return np.array([y[1], -k * y[1] - omega_sq * y[0]], dtype=complex)
 
     y0 = np.array([initial.u, initial.u_dot], dtype=complex)
     if t_grid.size == 1:

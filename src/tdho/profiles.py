@@ -1,7 +1,9 @@
 """Time-dependent mass and frequency profiles of the oscillator.
 
 Each profile kind is a closed-form analytic family providing m(t), its
-derivative, and omega^2(t) with its derivative at arbitrary times.  Only
+derivative, and omega^2(t) with its derivative at arbitrary times, as arrays,
+and the mode equation's coefficients (m, m'/m, omega^2) at one scalar time
+as floats (``OscillatorProfile.coefficients``, for the ODE solver).  Only
 piecewise-smooth analytic families are supported; tabulated or stochastic
 profiles and discontinuous mass are out of scope.
 """
@@ -147,6 +149,32 @@ class OscillatorProfile:
         w = p["width"]
         tau = (t - p["t_center"]) / w
         return 2.0 * self.omega(t) * (wf - wi) * 0.5 / (w * np.cosh(tau) ** 2)
+
+    def coefficients(self, t: float) -> tuple:
+        """(m, m'/m, omega^2) at one scalar time t, as floats.
+
+        The coefficients of the mode equation u'' + (m'/m) u' + omega^2 u = 0
+        for the integrator's right-hand side, without the array round trips
+        of mass/mass_dot/omega_sq.  The arithmetic follows theirs step for
+        step (omega^2 as a pow like NumPy's ``** 2``, NumPy's tanh), so the
+        values agree with them to the last bit wherever math.sin matches
+        np.sin.  Raises ProfileError naming t if the mass is not positive.
+        """
+        p = self.params
+        m, k, w = p["m0"], 0.0, p.get("omega0", 0.0)
+        if self.kind == "mass_linear_ramp":
+            m = p["m0"] * (1.0 + p["rate"] * (t - p["start"]))
+            if m <= 0:
+                raise ProfileError(f"{self.kind}: non-positive mass at t={float(t)!r}")
+            k = p["m0"] * p["rate"] / m
+        elif self.kind == "linear_ramp":
+            w = p["omega0"] * (1.0 + p["rate"] * (t - p["start"]))
+        elif self.kind == "sinusoidal":
+            w = p["omega0"] * (1.0 + p["depth"] * math.sin(p["rate"] * t))
+        elif self.kind == "tanh_quench":
+            wi, wf = p["omega_initial"], p["omega_final"]
+            w = wi + (wf - wi) * 0.5 * (1.0 + float(np.tanh((t - p["t_center"]) / p["width"])))
+        return m, k, w**2
 
     def change_rate(self, t0: float, t1: float) -> float:
         """Rate (1/time) of the profile's own fastest change on [t0, t1].

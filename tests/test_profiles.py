@@ -125,3 +125,41 @@ def test_change_rate_per_kind():
     # |m'/m| = 0.05 / (1 - 0.05 t) peaks at the window end, where m = 0.5
     ramp = OscillatorProfile.mass_linear_ramp(1.0, 1.0, rate=-0.05)
     assert ramp.change_rate(0.0, 10.0) == pytest.approx(0.1, rel=1e-14)
+
+
+def _within_ulps(value, expected, ulps=2):
+    return abs(value - expected) <= ulps * math.ulp(expected)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        OscillatorProfile.static(m0=1.3, omega0=0.7),
+        OscillatorProfile.linear_ramp(m0=0.8, omega0=1.1, rate=0.03, start=-2.0),
+        OscillatorProfile.sinusoidal(m0=1.0, omega0=1.4, depth=0.15, rate=7.0),
+        OscillatorProfile.tanh_quench(
+            m0=1.2, omega_initial=1.5, omega_final=0.6, t_center=20.0, width=0.3
+        ),
+        OscillatorProfile.mass_linear_ramp(m0=0.9, omega0=1.2, rate=-0.02, start=1.0),
+    ],
+    ids=lambda p: p.kind,
+)
+def test_coefficients_match_array_evaluation(profile, rng):
+    # the scalar form used by the ODE right-hand side agrees with the array
+    # methods; libm may round sin differently from NumPy, hence 2 ulp
+    times = np.concatenate([rng.uniform(0.0, 40.0, 196), [0.0, 19.9, 20.0, 20.1]])
+    for t in times:
+        m, k, omega_sq = profile.coefficients(t)
+        mass = float(profile.mass(t))
+        assert _within_ulps(m, mass)
+        assert _within_ulps(k, float(profile.mass_dot(t)) / mass)
+        assert _within_ulps(omega_sq, float(profile.omega_sq(t)))
+        assert all(isinstance(v, float) for v in (m, k, omega_sq))
+
+
+def test_coefficients_reject_mass_past_zero():
+    prof = OscillatorProfile.mass_linear_ramp(m0=1.0, omega0=1.0, rate=-0.2)
+    assert prof.coefficients(4.0)[0] == pytest.approx(0.2)
+    for t in (5.0, 7.25):
+        with pytest.raises(ProfileError, match=f"t={t}"):
+            prof.coefficients(t)
