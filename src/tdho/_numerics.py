@@ -1,5 +1,6 @@
-"""Low-level numerical kernels: high-order finite-difference stencils on
-uniform grids and branch-continuous complex square roots."""
+"""Low-level numerical kernels: high-order finite-difference stencils and
+the trapezoid rule on sampled grids, and branch-continuous complex square
+roots."""
 
 import numpy as np
 
@@ -34,6 +35,17 @@ def derivative(values: np.ndarray, dx: float) -> np.ndarray:
 def second_derivative(values: np.ndarray, dx: float) -> np.ndarray:
     """Second derivative of uniformly sampled data, 8th-order interior stencil."""
     return _apply_stencil(np.asarray(values), _D2_WEIGHTS) / dx**2
+
+
+def trapezoid(values: np.ndarray, steps: np.ndarray):
+    """Composite trapezoid rule on samples whose grid steps are
+    ``steps = x[1:] - x[:-1]``.
+
+    The arithmetic is scipy.integrate.trapezoid's, sum(steps * (y[1:] +
+    y[:-1]) / 2.0), so the result is the same bit for bit, without SciPy's
+    array-namespace dispatch on every call.
+    """
+    return np.sum(steps * (values[1:] + values[:-1]) / 2.0)
 
 
 def continuous_sqrt(values: np.ndarray) -> np.ndarray:

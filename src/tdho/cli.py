@@ -37,7 +37,7 @@ from .errors import (
 from .mode_solver import SqueezeParams, apply_squeeze, evolve_mode, polar_decompose, wkb_mode
 from .observables import analytic_moments, inner_product, quadrature_moments
 from .profiles import OscillatorProfile, parse_profile, profile_hash
-from .states import StateSpec, dsn_wavefunction, spatial_grid
+from .states import StateSpec, comoving_hermite, dsn_wavefunction, spatial_grid
 from .verification import (
     classical_equation_residual,
     crosscheck_static,
@@ -248,9 +248,10 @@ def _base_trajectory(scenario: Scenario, at=None, min_stride=4):
     return evolve_mode(scenario.profile, initial, path, rel_tol=scenario.ode_rel_tol), rows
 
 
-def _wavefunctions(scenario: Scenario, specs: list, point, theta: float) -> list:
+def _wavefunctions(scenario: Scenario, specs: list, point, theta: float, hermite=None) -> list:
     """Wave functions of states sharing alpha and squeeze at one mode point,
-    on one scenario grid sized for the highest n among them."""
+    on one scenario grid sized for the highest n among them.  ``hermite`` is
+    the comoving_hermite table of a single state."""
     x = spatial_grid(
         point,
         scenario.hbar,
@@ -259,7 +260,19 @@ def _wavefunctions(scenario: Scenario, specs: list, point, theta: float) -> list
         points=scenario.grid_points,
         half_width_sigmas=scenario.half_width_sigmas,
     )
-    return [dsn_wavefunction(spec, point, x, theta=theta) for spec in specs]
+    return [dsn_wavefunction(spec, point, x, theta=theta, hermite=hermite) for spec in specs]
+
+
+def _state_rows(scenario: Scenario, spec: StateSpec, squeezed, theta, rows):
+    """Mode point and wave function of one state at each of ``rows`` of its
+    squeezed mode, all from one comoving_hermite table: the state's grid
+    follows the classical center and scales with rho, so h_n is the same at
+    every time."""
+    hermite = comoving_hermite(spec.n, scenario.grid_points, scenario.half_width_sigmas)
+    for k in rows:
+        point = squeezed.point(k)
+        (grid,) = _wavefunctions(scenario, [spec], point, float(theta[k]), hermite)
+        yield k, point, grid
 
 
 def _moments(scenario: Scenario, spec: StateSpec, point, grid):
@@ -324,9 +337,7 @@ def _moment_records(scenario: Scenario, base, rows, spec: StateSpec) -> list:
     squeezed = apply_squeeze(base, spec.squeeze)
     _, theta = polar_decompose(squeezed)
     records = []
-    for k in rows:
-        point = squeezed.point(k)
-        (grid,) = _wavefunctions(scenario, [spec], point, float(theta[k]))
+    for k, point, grid in _state_rows(scenario, spec, squeezed, theta, rows):
         analytic, quad, diff = _moments(scenario, spec, point, grid)
         records.append(
             {
@@ -391,9 +402,7 @@ def _verify_checks(scenario: Scenario) -> list:
         _, _, members = groups.setdefault((spec.squeeze, spec.alpha), (squeezed, theta, []))
         members.append((idx, spec))
         add("wronskian_drift_squeezed", {"state": idx}, squeezed.max_wronskian_drift, WRONSKIAN_TOL)
-        for k in probe_rows:
-            point = squeezed.point(k)
-            (grid,) = _wavefunctions(scenario, [spec], point, float(theta[k]))
+        for k, point, grid in _state_rows(scenario, spec, squeezed, theta, probe_rows):
             t_k = float(squeezed.t[k])
             add(
                 "normalization",

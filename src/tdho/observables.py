@@ -2,8 +2,10 @@
 
 Quadrature uses the composite trapezoid rule on the uniform grid, which is
 exponentially accurate for smooth integrands that decay below tolerance at
-the grid ends; momentum moments differentiate with the 8th-order stencil
-rather than an FFT to avoid periodicity artifacts at truncated boundaries.
+the grid ends; it is _numerics.trapezoid on the grid's step vector, the
+arithmetic of scipy.integrate.trapezoid without its per-call dispatch.
+Momentum moments differentiate with the 8th-order stencil rather than an
+FFT to avoid periodicity artifacts at truncated boundaries.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
-from ._numerics import derivative, second_derivative
+from ._numerics import derivative, second_derivative, trapezoid
 from .errors import GridError
 from .mode_solver import ModePoint
 from .states import COVERAGE_GUARD, StateSpec, WaveFunctionGrid, classical_trajectory
@@ -63,7 +64,7 @@ def inner_product(f: WaveFunctionGrid, g: WaveFunctionGrid) -> complex:
     """Trapezoid overlap integral of f* g on their (identical) grid."""
     if f.x.shape != g.x.shape or not np.array_equal(f.x, g.x):
         raise GridError("inner_product requires identical x grids")
-    return complex(trapezoid(np.conj(f.psi) * g.psi, f.x))
+    return complex(trapezoid(np.conj(f.psi) * g.psi, f.steps))
 
 
 def quadrature_moments(psi: WaveFunctionGrid, hbar: float) -> MomentSet:
@@ -79,15 +80,15 @@ def quadrature_moments(psi: WaveFunctionGrid, hbar: float) -> MomentSet:
             f"quadrature_moments: boundary amplitude {ratio:.2e} of peak; "
             "grid does not cover the state"
         )
-    x = psi.x
+    x, steps = psi.x, psi.steps
     density = np.abs(psi.psi) ** 2
-    norm = float(trapezoid(density, x))
-    mean_x = float(trapezoid(x * density, x)) / norm
-    mean_x2 = float(trapezoid(x**2 * density, x)) / norm
+    norm = float(trapezoid(density, steps))
+    mean_x = float(trapezoid(x * density, steps)) / norm
+    mean_x2 = float(trapezoid(x**2 * density, steps)) / norm
     dpsi = derivative(psi.psi, psi.dx)
     d2psi = second_derivative(psi.psi, psi.dx)
-    mean_p = float(np.real(trapezoid(np.conj(psi.psi) * (-1j * hbar) * dpsi, x))) / norm
-    mean_p2 = float(np.real(trapezoid(np.conj(psi.psi) * (-(hbar**2)) * d2psi, x))) / norm
+    mean_p = float(np.real(trapezoid(np.conj(psi.psi) * (-1j * hbar) * dpsi, steps))) / norm
+    mean_p2 = float(np.real(trapezoid(np.conj(psi.psi) * (-(hbar**2)) * d2psi, steps))) / norm
     return MomentSet.from_means(mean_x, mean_p, mean_x2, mean_p2)
 
 

@@ -208,7 +208,7 @@ def evaluate_profile(profile: OscillatorProfile, t):
         bad = np.asarray(t, dtype=float).reshape(-1)[
             int(np.argmax(np.asarray(mass).reshape(-1) <= 0))
         ]
-        raise ProfileError(f"{profile.kind}: non-positive mass at t={bad!r}")
+        raise ProfileError(f"{profile.kind}: non-positive mass at t={float(bad)!r}")
     omega_sq = profile.omega_sq(t)
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return float(mass), float(omega_sq)

@@ -15,6 +15,14 @@ whenever the Wronskian normalization holds and is folded into the weighted
 Hermite recurrence, leaving a pure phase.  This keeps n up to several
 hundred overflow-free.
 
+The grid of spatial_grid follows the classical center and scales with
+rho: on the co-moving, co-scaled coordinate xi = (x - x_c)/(sqrt(2 hbar) rho)
+it is linspace(-K, K, N)/sqrt(2) with K = k sqrt(2n+1) + 4 at every time.
+So h_n(xi) does not depend on t.  comoving_hermite builds it once per
+state, and dsn_wavefunction takes it as ``hermite``; only the phase and the
+prefactor (sqrt(2 hbar) rho)^{-1/2} are then evaluated per time.  The CLI's
+moments loop and verify's probe rows share one table per state this way.
+
 Branch conventions: Theta defaults to the principal value of -arg(u) for a
 single point; callers tracking a trajectory pass the continuously unwrapped
 Theta instead (see mode_solver.polar_decompose).  Cross-checks against the
@@ -27,9 +35,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
-from ._numerics import derivative
+from ._numerics import derivative, trapezoid
 from .errors import GridError
 from .mode_solver import ModePoint, ModeTrajectory, SqueezeParams, wronskian
 
@@ -79,7 +86,10 @@ class PhaseSpacePoint:
 
 
 class WaveFunctionGrid:
-    """Complex amplitude samples on a uniform spatial grid at a fixed time."""
+    """Complex amplitude samples on a uniform spatial grid at a fixed time.
+
+    ``steps`` holds x[1:] - x[:-1], the step vector of the trapezoid rule.
+    """
 
     def __init__(self, t: float, x, psi, meta: dict | None = None):
         x = np.asarray(x, dtype=float)
@@ -90,11 +100,12 @@ class WaveFunctionGrid:
         dx = (x[-1] - x[0]) / (x.size - 1)
         if dx <= 0 or np.max(np.abs(steps - dx)) > 1e-9 * dx:
             raise GridError("x must be a uniform, strictly increasing grid")
-        x.setflags(write=False)
-        psi.setflags(write=False)
+        for array in (x, psi, steps):
+            array.setflags(write=False)
         self.t = float(t)
         self.x = x
         self.psi = psi
+        self.steps = steps
         self.dx = float(dx)
         self.meta = dict(meta or {})
 
@@ -105,7 +116,7 @@ class WaveFunctionGrid:
         return float(max(abs(self.psi[0]), abs(self.psi[-1])) / peak)
 
     def norm_sq(self) -> float:
-        return float(trapezoid(np.abs(self.psi) ** 2, self.x))
+        return float(trapezoid(np.abs(self.psi) ** 2, self.steps))
 
 
 def weighted_hermite(n: int, xi):
@@ -174,6 +185,23 @@ def _guard_wronskian(mode: ModePoint):
         )
 
 
+def _half_width(n: int, half_width_sigmas: float) -> float:
+    """Half-width of the grid of spatial_grid in units of sigma0."""
+    return half_width_sigmas * math.sqrt(2.0 * n + 1.0) + 4.0
+
+
+def comoving_hermite(n: int, points: int, half_width_sigmas: float = 8.0):
+    """(xi, h_n(xi)) on the co-moving coordinate of spatial_grid.
+
+    Valid at every time for the grid spatial_grid(mode, hbar, n, alpha,
+    points, half_width_sigmas) of the state, whatever the mode and alpha;
+    dsn_wavefunction takes the pair as ``hermite``.
+    """
+    half = _half_width(n, half_width_sigmas)
+    xi = np.linspace(-half, half, int(points)) / math.sqrt(2.0)
+    return xi, weighted_hermite(n, xi)
+
+
 def spatial_grid(
     mode: ModePoint,
     hbar: float,
@@ -194,7 +222,7 @@ def spatial_grid(
     rho = abs(mode.u)
     center = classical_trajectory(alpha, mode, hbar)
     sigma0 = rho * math.sqrt(hbar)
-    half = (half_width_sigmas * math.sqrt(2.0 * n + 1.0) + 4.0) * sigma0
+    half = _half_width(n, half_width_sigmas) * sigma0
     if points is None:
         k_herm = math.sqrt(2.0 * n + 1.0) / (math.sqrt(2.0 * hbar) * rho)
         rho_dot = (mode.u_dot * np.conj(mode.u)).real / rho
@@ -222,14 +250,22 @@ def _gaussian_hermite(
     theta: float,
     x_c: float,
     p_c: float,
+    hermite: tuple | None = None,
 ) -> np.ndarray:
     rho = abs(mode.u)
-    xi = (x - x_c) / (math.sqrt(2.0 * hbar) * rho)
+    scale = math.sqrt(2.0 * hbar) * rho
+    if hermite is None:
+        h = weighted_hermite(n, (x - x_c) / scale)
+    else:
+        xi, h = hermite
+        ends = (x[[0, -1]] - x_c) / scale
+        if xi.shape != x.shape or np.max(np.abs(ends - xi[[0, -1]])) > 1e-9 * abs(xi[0]):
+            raise GridError("hermite table does not match the co-moving grid of the state")
     # Im part of the quadratic exponent coefficient i m u'*/(2 hbar u*); the
     # real part is -1/(4 hbar rho^2) by the Wronskian and lives inside h_n.
     c2 = mode.mass * (mode.u_dot * np.conj(mode.u)).real / (2.0 * hbar * rho**2)
     phase = -theta * (n + 0.5) + p_c * x / hbar + c2 * (x - x_c) ** 2 - p_c * x_c / (2.0 * hbar)
-    return (math.sqrt(2.0 * hbar) * rho) ** -0.5 * weighted_hermite(n, xi) * np.exp(1j * phase)
+    return scale**-0.5 * h * np.exp(1j * phase)
 
 
 def _check_coverage(grid: WaveFunctionGrid, what: str):
@@ -261,18 +297,21 @@ def dsn_wavefunction(
     mode_nu: ModePoint,
     x,
     theta: float | None = None,
+    hermite: tuple | None = None,
 ) -> WaveFunctionGrid:
     """Displaced-squeezed number-state wave function on the squeezed mode.
 
     ``mode_nu`` must already carry the squeeze (output of apply_squeeze);
     the displacement spec.alpha sets the classical center.  With alpha = 0
-    this reduces exactly to number_wavefunction.
+    this reduces exactly to number_wavefunction.  ``hermite`` is the state's
+    comoving_hermite table, for x from spatial_grid with the same n, points
+    and half-width; without it h_n is evaluated on x.
     """
     _guard_wronskian(mode_nu)
     x = np.asarray(x, dtype=float)
     th = _mode_theta(mode_nu, theta)
     center = classical_trajectory(spec.alpha, mode_nu, spec.hbar)
-    psi = _gaussian_hermite(spec.n, mode_nu, spec.hbar, x, th, center.x_c, center.p_c)
+    psi = _gaussian_hermite(spec.n, mode_nu, spec.hbar, x, th, center.x_c, center.p_c, hermite)
     grid = WaveFunctionGrid(
         mode_nu.t,
         x,
@@ -305,8 +344,8 @@ def lower(psi: WaveFunctionGrid, mode: ModePoint, hbar: float) -> WaveFunctionGr
     if n_hint is None:
         # effective n from the spatial variance: <x^2> - <x>^2 = hbar rho^2 (2n+1)
         norm = psi.norm_sq()
-        mean_x = float(trapezoid(psi.x * np.abs(psi.psi) ** 2, psi.x)) / norm
-        mean_x2 = float(trapezoid(psi.x**2 * np.abs(psi.psi) ** 2, psi.x)) / norm
+        mean_x = float(trapezoid(psi.x * np.abs(psi.psi) ** 2, psi.steps)) / norm
+        mean_x2 = float(trapezoid(psi.x**2 * np.abs(psi.psi) ** 2, psi.steps)) / norm
         rho = abs(mode.u)
         n_hint = max(0.0, ((mean_x2 - mean_x**2) / (hbar * rho**2) - 1.0) / 2.0)
     rho = abs(mode.u)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import hermite as hermite_poly
-from scipy.integrate import trapezoid
 
-from ._numerics import continuous_sqrt, derivative, second_derivative
+from ._numerics import continuous_sqrt, derivative, second_derivative, trapezoid
 from .errors import GridError, PhaseUnwrapError
 from .mode_solver import (
     ModeTrajectory,
@@ -141,6 +140,7 @@ def _branch_grid(sq: SqueezeParams, t: float) -> np.ndarray:
     # the phase of A advances at up to 2 e^{2r}; keep steps well under pi
     count = max(64, int(math.ceil(abs(t) * 6.0 * math.exp(2.0 * sq.r))) + 1)
     return np.linspace(0.0, t, count)
+
 
 def nieto_time_identity_residuals(sq: SqueezeParams, t: float) -> dict:
     """Residuals of the time-evolved identities A_nu = 1/(F4 B sqrt(A)),
@@ -314,8 +314,9 @@ def schrodinger_residual(
         0.5 * mass * omega_sq * x**2
     ) * psis[1]
     residual = 1j * hbar * dpsi_dt - h_psi
-    num = math.sqrt(float(trapezoid(np.abs(residual) ** 2, x)))
-    den = math.sqrt(float(trapezoid(np.abs(h_psi) ** 2, x)))
+    steps = np.diff(x)
+    num = math.sqrt(float(trapezoid(np.abs(residual) ** 2, steps)))
+    den = math.sqrt(float(trapezoid(np.abs(h_psi) ** 2, steps)))
     return num / den
 
 

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from tdho import cli
+from tdho import cli, states
 from tdho.cli import load_scenario, main
 from tdho.errors import ScenarioError
 from tdho.mode_solver import evolve_mode
+from tdho.states import weighted_hermite
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -81,6 +82,20 @@ def test_verify_solves_mode_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "evolve_mode", counting)
     assert main(["verify", str(SCENARIOS / "static.json"), "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_moments_builds_hermite_once_per_state(tmp_path, monkeypatch):
+    # h_n on the co-moving grid is the same at every time: one table per
+    # state serves all 33 samples of each of the 4 states
+    calls = []
+
+    def counting(n, xi):
+        calls.append(n)
+        return weighted_hermite(n, xi)
+
+    monkeypatch.setattr(states, "weighted_hermite", counting)
+    assert main(["moments", str(SCENARIOS / "static.json"), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 4
 
 
 def test_verify_short_window_displaced_state(tmp_path):

@@ -48,6 +48,15 @@ def test_mass_ramp_positive_mass_enforced():
         evaluate_profile(prof, 6.0)
 
 
+def test_mass_error_names_time_as_float():
+    # the time reads as coefficients() prints it, not as a NumPy scalar repr
+    prof = OscillatorProfile.mass_linear_ramp(1.0, 1.0, -0.2)
+    with pytest.raises(ProfileError, match=r"t=6\.0$"):
+        evaluate_profile(prof, 6.0)
+    with pytest.raises(ProfileError, match=r"t=6\.0$"):
+        evaluate_profile(prof, np.array([1.0, 6.0]))
+
+
 def test_mass_dot_analytic(mass_ramp_profile):
     assert float(mass_ramp_profile.mass_dot(3.0)) == pytest.approx(0.005)
     assert float(OscillatorProfile.static(1, 1).mass_dot(3.0)) == 0.0

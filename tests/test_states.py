@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,11 @@ from tdho import (
     weighted_hermite,
     wkb_mode,
 )
-from tdho.mode_solver import ModePoint
+from tdho import _numerics, cli
+from tdho.mode_solver import ModePoint, polar_decompose
+from tdho.states import comoving_hermite
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # ---------------------------------------------------------- weighted_hermite
@@ -279,3 +284,50 @@ def test_lower_rejects_coarse_grid():
     coarse = WaveFunctionGrid(psi.t, psi.x[::24], psi.psi[::24], meta=psi.meta)
     with pytest.raises(GridError, match="coarse"):
         lower(coarse, point, 1.0)
+
+
+# ---------------------------------------------------------- shared Hermite table
+def test_shared_hermite_table_matches_fresh_wavefunction():
+    # every row of every quench state, built from one table per state,
+    # agrees with a wave function that evaluates h_n on its own grid
+    scenario = cli.load_scenario(SCENARIOS / "quench.json")
+    base, rows = cli._base_trajectory(scenario)
+    for spec in scenario.states:
+        squeezed = apply_squeeze(base, spec.squeeze)
+        _, theta = polar_decompose(squeezed)
+        count = 0
+        for k, point, grid in cli._state_rows(scenario, spec, squeezed, theta, rows):
+            fresh = dsn_wavefunction(spec, point, grid.x, theta=float(theta[k]))
+            peak = np.max(np.abs(fresh.psi))
+            assert np.max(np.abs(grid.psi - fresh.psi)) <= 1e-12 * peak
+            count += 1
+        assert count == scenario.samples
+
+
+def test_hermite_table_rejects_other_grid():
+    sq = SqueezeParams(0.4, 0.3)
+    spec = StateSpec(n=3, alpha=1.0 + 0.5j, squeeze=sq)
+    point = apply_squeeze(static_mode(1, 1, 0.7), sq)
+    x = spatial_grid(point, 1.0, n=3, alpha=spec.alpha, points=1024)
+    assert dsn_wavefunction(spec, point, x, hermite=comoving_hermite(3, 1024)).norm_sq() == (
+        pytest.approx(1.0, abs=1e-10)
+    )
+    others = (comoving_hermite(3, 2048), comoving_hermite(5, 1024), comoving_hermite(3, 1024, 6.0))
+    for table in others:
+        with pytest.raises(GridError, match="hermite table"):
+            dsn_wavefunction(spec, point, x, hermite=table)
+    shifted = spatial_grid(point, 1.0, n=3, alpha=0j, points=1024)
+    with pytest.raises(GridError, match="hermite table"):
+        dsn_wavefunction(spec, point, shifted, hermite=comoving_hermite(3, 1024))
+
+
+def test_trapezoid_matches_scipy_bit_for_bit(rng):
+    for size in [2, 3, 9, 4097, *rng.integers(2, 5000, 46)]:
+        x = np.sort(rng.uniform(-20.0, 20.0, size))
+        steps = x[1:] - x[:-1]
+        real = rng.normal(size=size)
+        cplx = real + 1j * rng.normal(size=size)
+        for y in (real, cplx):
+            ours = _numerics.trapezoid(y, steps)
+            theirs = trapezoid(y, x)
+            assert ours.tobytes() == np.asarray(theirs).tobytes()
