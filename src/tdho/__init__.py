@@ -6,8 +6,8 @@ function solved in closed form or numerically under the Wronskian
 normalization; squeezing mixes the mode with its conjugate; the mode then
 generates exact number-state and displaced-squeezed number-state wave
 functions, their moments and energies, and a verification layer
-(Schroedinger residual, static-oscillator closed forms) that checks the
-whole chain independently.
+(Schroedinger residual, classical centre against an independent solve,
+static-oscillator closed forms) that checks the whole chain independently.
 """
 
 from .errors import (

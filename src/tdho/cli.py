@@ -51,10 +51,6 @@ WRONSKIAN_TOL = 1e-8
 ORTHOGONALITY_TOL = 1e-8
 RESIDUAL_TOL = 1e-4
 CLASSICAL_TOL = 1e-6
-#: step of the classical-equation stencils times the fastest rate of the mode
-#: or the profile: coarser steps lose the 8th-order stencils' accuracy, finer
-#: ones amplify the integrator's error
-STENCIL_STEP = 0.15
 NIETO_T0_TOL = 1e-12
 NIETO_TIME_TOL = 1e-10
 CROSSCHECK_TOL = 1e-10
@@ -82,6 +78,8 @@ class Scenario:
 
 
 def _require_keys(mapping: dict, where: str, required: set, optional: set):
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{where}: expected an object")
     unknown = set(mapping) - required - optional
     if unknown:
         raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
@@ -105,8 +103,6 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"scenario file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario: expected a JSON object at the top level")
     _require_keys(
         raw,
         "scenario",
@@ -123,8 +119,6 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError("scenario.hbar: must be positive")
 
     tg = raw["time_grid"]
-    if not isinstance(tg, dict):
-        raise ScenarioError("scenario.time_grid: expected an object")
     _require_keys(tg, "time_grid", {"t_start", "t_end", "samples"}, set())
     t_start = _number(tg, "time_grid", "t_start")
     t_end = _number(tg, "time_grid", "t_end")
@@ -171,11 +165,9 @@ def load_scenario(path) -> Scenario:
     states = []
     for i, entry in enumerate(states_raw):
         where = f"states[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{where}: expected an object")
         _require_keys(entry, where, {"n"}, {"alpha", "r", "phi"})
         n = entry["n"]
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ScenarioError(f"{where}.n: must be a non-negative integer")
         alpha_raw = entry.get("alpha", [0.0, 0.0])
         if (
@@ -218,25 +210,21 @@ def load_scenario(path) -> Scenario:
     )
 
 
-def _omega_max(scenario: Scenario) -> float:
-    """Largest frequency on the scenario time grid."""
-    return float(np.sqrt(np.max(scenario.profile.omega_sq(scenario.time_grid()))))
-
-
-def _base_trajectory(scenario: Scenario, at=None, min_stride=4):
+def _base_trajectory(scenario: Scenario, at=None):
     """Base mode on one uniform path that holds the scenario time grid.
 
-    Each time-grid step is split into ``stride`` equal sub-steps, at least
-    ``min_stride`` and enough to unwrap the phase of the most squeezed state,
-    so row ``j * stride`` is time-grid sample j bit for bit.  Returns the
-    trajectory and the rows of the time grid, or with ``at`` the row of that
-    one time, merged into the path.
+    Each time-grid step is split into ``stride`` equal sub-steps, at least 4
+    and enough to unwrap the phase of the most squeezed state at the largest
+    frequency on the time grid, so row ``j * stride`` is time-grid sample j
+    bit for bit.  Returns the trajectory and the rows of the time grid, or
+    with ``at`` the row of that one time, merged into the path.
     """
     coarse = scenario.time_grid()
     span = scenario.t_end - scenario.t_start
+    omega_max = float(np.sqrt(np.max(scenario.profile.omega_sq(coarse))))
     r_max = max((s.squeeze.r for s in scenario.states), default=0.0)
-    needed = span * 16.0 * max(_omega_max(scenario), 0.25) * math.exp(2.0 * r_max)
-    stride = max(min_stride, math.ceil(needed / (scenario.samples - 1)))
+    needed = span * 16.0 * max(omega_max, 0.25) * math.exp(2.0 * r_max)
+    stride = max(4, math.ceil(needed / (scenario.samples - 1)))
     steps = coarse[:-1, None] + np.diff(coarse)[:, None] * (np.arange(stride) / stride)
     path = np.append(steps.ravel(), coarse[-1])
     if at is None:
@@ -383,16 +371,13 @@ def _verify_checks(scenario: Scenario) -> list:
             }
         )
 
-    # the classical-equation stencils use one row in `every`: a step that
-    # resolves omega and the profile's own rate to STENCIL_STEP whatever
-    # squeeze set the path's density, over at least the 17 samples they need
-    span = scenario.t_end - scenario.t_start
-    rate = max(_omega_max(scenario), scenario.profile.change_rate(scenario.t_start, scenario.t_end))
-    stencil = math.ceil(max(span * max(rate, 0.25) / STENCIL_STEP, 16.0) / (scenario.samples - 1))
-    base, rows = _base_trajectory(scenario, min_stride=max(4, stencil))
-    every = rows[1] // stencil
+    base, rows = _base_trajectory(scenario)
     add("wronskian_drift_base", {"profile": scenario.profile.kind}, base.max_wronskian_drift, WRONSKIAN_TOL)
     probe_rows = rows[:: max(1, (len(rows) - 1) // 4)]
+    t_mid = 0.5 * (scenario.t_start + scenario.t_end)
+    residuals = schrodinger_residual(
+        scenario.states, scenario.profile, base, t_mid, scenario.residual_dt
+    )
 
     # states sharing a mode and a displacement, keyed to that shared mode
     groups: dict = {}
@@ -421,12 +406,10 @@ def _verify_checks(scenario: Scenario) -> list:
                 larger_is_fail=False,
             )
         if spec.alpha != 0:
-            classical = classical_equation_residual(squeezed, spec.alpha, scenario.hbar, every)
+            classical = classical_equation_residual(squeezed, spec.alpha, scenario.hbar)
             add("classical_equation", {"state": idx}, classical["equation_residual"], CLASSICAL_TOL)
             add("classical_momentum", {"state": idx}, classical["momentum_mismatch"], CLASSICAL_TOL)
-        t_mid = 0.5 * (scenario.t_start + scenario.t_end)
-        residual = schrodinger_residual(spec, scenario.profile, base, t_mid, scenario.residual_dt)
-        add("schrodinger_residual", {"state": idx, "t": t_mid}, residual, RESIDUAL_TOL)
+        add("schrodinger_residual", {"state": idx, "t": t_mid}, residuals[idx], RESIDUAL_TOL)
 
     # orthogonality between states sharing a mode and a displacement
     for squeezed, theta, members in groups.values():

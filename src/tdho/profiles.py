@@ -176,24 +176,6 @@ class OscillatorProfile:
             w = wi + (wf - wi) * 0.5 * (1.0 + float(np.tanh((t - p["t_center"]) / p["width"])))
         return m, k, w**2
 
-    def change_rate(self, t0: float, t1: float) -> float:
-        """Rate (1/time) of the profile's own fastest change on [t0, t1].
-
-        The drive rate of a sinusoidal profile, the inverse width of a tanh
-        quench and the largest |m'/m| of a mass ramp.  A static profile and a
-        frequency ramp, whose omega^2 is a polynomial of degree two, give 0:
-        their time scale is that of the mode itself.
-        """
-        p = self.params
-        if self.kind == "sinusoidal":
-            return abs(p["rate"])
-        if self.kind == "tanh_quench":
-            return 1.0 / p["width"]
-        if self.kind == "mass_linear_ramp":
-            ends = np.array([t0, t1], dtype=float)
-            return float(np.max(np.abs(self.mass_dot(ends) / self.mass(ends))))
-        return 0.0
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, **{k: self.params[k] for k in sorted(self.params)}}
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tdho import cli, states
+from tdho import cli, states, verification
 from tdho.cli import load_scenario, main
 from tdho.errors import ScenarioError
 from tdho.mode_solver import evolve_mode
@@ -47,6 +47,10 @@ def test_load_shipped_scenarios():
         ({"states": [{"n": 0, "r": -0.5}]}, "r"),
         ({"hbar": 0.0}, "hbar"),
         ({"tolerances": {"ode_rel_tol": 1e-3}}, "ode_rel_tol"),
+        ({"grid": 5}, "grid: expected an object"),
+        ({"outputs": "x"}, "outputs: expected an object"),
+        ({"tolerances": [1]}, "tolerances: expected an object"),
+        ({"states": [{"n": True}]}, "non-negative integer"),
     ],
 )
 def test_scenario_validation_errors(tmp_path, overrides, message):
@@ -71,17 +75,21 @@ def test_verify_shipped_static_scenario(tmp_path, capsys):
 
 
 def test_verify_solves_mode_once(tmp_path, monkeypatch):
-    # one base solve serves every state, the classical-equation stencils
-    # included; the Schrodinger residual re-solves through its own module
-    calls = []
+    # one base solve serves every state, and one fresh solve from t0 serves
+    # the Schrodinger residuals of all four states
+    calls = {"cli": 0, "verification": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return evolve_mode(*args, **kwargs)
+    def counting(module):
+        def solve(*args, **kwargs):
+            calls[module] += 1
+            return evolve_mode(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "evolve_mode", counting)
+        return solve
+
+    monkeypatch.setattr(cli, "evolve_mode", counting("cli"))
+    monkeypatch.setattr(verification, "evolve_mode", counting("verification"))
     assert main(["verify", str(SCENARIOS / "static.json"), "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1
+    assert calls == {"cli": 1, "verification": 1}
 
 
 def test_moments_builds_hermite_once_per_state(tmp_path, monkeypatch):
@@ -99,8 +107,8 @@ def test_moments_builds_hermite_once_per_state(tmp_path, monkeypatch):
 
 
 def test_verify_short_window_displaced_state(tmp_path):
-    # two time samples half a unit apart still give the classical-equation
-    # stencils the 17 uniform samples they need
+    # two time samples half a unit apart still give a displaced state its
+    # classical-equation check
     path = write_scenario(
         tmp_path,
         states=[{"n": 1, "alpha": [0.5, 0.2]}],
@@ -148,16 +156,17 @@ def test_verify_tanh_quench_classical_equation(tmp_path):
             "t_center": 3.0,
             "width": 0.05,
         },
+        {"kind": "sinusoidal", "m0": 1.0, "omega0": 1.0, "depth": 0.15, "rate": 20.0},
     ],
 )
 def test_verify_fast_profile_classical_equation(tmp_path, profile):
-    # a profile changing much faster than the mode oscillates: the stencil
-    # step must resolve the profile's own rate, not only omega
+    # a profile changing much faster than the mode oscillates; second
+    # derivatives of the sampled centre read 1.6e-6 on the deep sinusoid
     path = write_scenario(
         tmp_path,
         profile=profile,
         states=[{"n": 2, "alpha": [0.4, -0.1], "phi": 0.1}],
-        time_grid={"t_start": 0.0, "t_end": 6.0, "samples": 33},
+        time_grid={"t_start": 0.0, "t_end": 10.0, "samples": 33},
         grid={"points": 1024, "half_width_sigmas": 8.0},
     )
     assert main(["verify", path, "--out", str(tmp_path / "out")]) == 0

@@ -128,6 +128,17 @@ def test_evolve_quench_mixes_mode(quench_profile):
     assert late.max() - late.min() > 0.1
 
 
+def test_evolve_independent_of_output_grid(quench_profile):
+    # the solve does not depend on the output grid, so every 4th sample of a
+    # fine solve is the coarse solve bit for bit: the CLI reads the scenario
+    # time grid off a finer path on this basis
+    t_grid = np.linspace(0.0, 10.0, 2001)
+    fine = evolve_mode(quench_profile, wkb_mode(quench_profile, 0.0), t_grid)
+    coarse = evolve_mode(quench_profile, wkb_mode(quench_profile, 0.0), t_grid[::4])
+    assert np.array_equal(coarse.u, fine.u[::4])
+    assert np.array_equal(coarse.u_dot, fine.u_dot[::4])
+
+
 def test_evolve_validates_inputs(static_profile):
     good = static_mode(1, 1, 0.0)
     with pytest.raises(ValueError, match="rel_tol"):

@@ -125,17 +125,6 @@ def test_array_evaluation(sinusoidal_profile):
     assert np.all(omega_sq >= 0)
 
 
-def test_change_rate_per_kind():
-    assert OscillatorProfile.static(1.0, 2.0).change_rate(0.0, 10.0) == 0.0
-    assert OscillatorProfile.linear_ramp(1.0, 1.0, rate=0.3).change_rate(0.0, 10.0) == 0.0
-    assert OscillatorProfile.sinusoidal(1.0, 1.0, 0.1, rate=-4.0).change_rate(0.0, 10.0) == 4.0
-    quench = OscillatorProfile.tanh_quench(1.0, 2.0, 1.0, t_center=5.0, width=0.25)
-    assert quench.change_rate(0.0, 10.0) == 4.0
-    # |m'/m| = 0.05 / (1 - 0.05 t) peaks at the window end, where m = 0.5
-    ramp = OscillatorProfile.mass_linear_ramp(1.0, 1.0, rate=-0.05)
-    assert ramp.change_rate(0.0, 10.0) == pytest.approx(0.1, rel=1e-14)
-
-
 def _within_ulps(value, expected, ulps=2):
     return abs(value - expected) <= ulps * math.ulp(expected)
 

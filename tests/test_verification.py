@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 from tdho import (
+    ModeTrajectory,
     SqueezeParams,
     StateSpec,
     apply_squeeze,
@@ -24,6 +25,7 @@ from tdho import (
     static_mode,
     wkb_mode,
 )
+from tdho import verification
 from tdho._numerics import second_derivative
 
 
@@ -144,19 +146,43 @@ def test_residual_static_ground(static_profile):
     t_grid = np.linspace(0.0, 2.0, 41)
     traj = evolve_mode(static_profile, static_mode(1, 1, 0.0), t_grid)
     spec = StateSpec(n=0)
-    assert schrodinger_residual(spec, static_profile, traj, 1.0, 1e-4) <= 1e-7
+    assert schrodinger_residual([spec], static_profile, traj, 1.0, 1e-4)[0] <= 1e-7
 
 
 def test_residual_quench_dsn_state(quench_profile):
     t_grid = np.linspace(0.0, 10.0, 41)
     traj = evolve_mode(quench_profile, wkb_mode(quench_profile, 0.0), t_grid)
     spec = StateSpec(n=2, alpha=1.0 + 0j, squeeze=SqueezeParams(0.5, 0.0))
-    r1 = schrodinger_residual(spec, quench_profile, traj, 6.0, 1e-4)
+    (r1,) = schrodinger_residual([spec], quench_profile, traj, 6.0, 1e-4)
     assert r1 <= 1e-4
     # halving dt shrinks the residual about 4x (second order)
-    big = schrodinger_residual(spec, quench_profile, traj, 6.0, 8e-4)
-    small = schrodinger_residual(spec, quench_profile, traj, 6.0, 4e-4)
+    (big,) = schrodinger_residual([spec], quench_profile, traj, 6.0, 8e-4)
+    (small,) = schrodinger_residual([spec], quench_profile, traj, 6.0, 4e-4)
     assert big / small == pytest.approx(4.0, abs=0.6)
+
+
+def test_residual_one_solve_serves_all_states(quench_profile, monkeypatch):
+    # the solve is sampled for the most squeezed state, which therefore gets
+    # the value it gets alone; the others stay small on the denser path
+    t_grid = np.linspace(0.0, 10.0, 41)
+    traj = evolve_mode(quench_profile, wkb_mode(quench_profile, 0.0), t_grid)
+    specs = [
+        StateSpec(n=0),
+        StateSpec(n=2, alpha=1.0 + 0j, squeeze=SqueezeParams(0.5, 0.0)),
+        StateSpec(n=1, alpha=0.5j, squeeze=SqueezeParams(0.2, 1.0)),
+    ]
+    (alone,) = schrodinger_residual(specs[1:2], quench_profile, traj, 6.0, 1e-4)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evolve_mode(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "evolve_mode", counting)
+    together = schrodinger_residual(specs, quench_profile, traj, 6.0, 1e-4)
+    assert len(calls) == 1
+    assert together[1] == alone
+    assert all(value <= 1e-4 for value in together)
 
 
 def test_residual_negative_control(quench_profile):
@@ -193,7 +219,7 @@ def test_residual_rejects_large_dt(quench_profile):
     traj = evolve_mode(quench_profile, wkb_mode(quench_profile, 0.0), t_grid)
     spec = StateSpec(n=0)
     with pytest.raises(ValueError, match="dt"):
-        schrodinger_residual(spec, quench_profile, traj, 6.0, 2e-3)
+        schrodinger_residual([spec], quench_profile, traj, 6.0, 2e-3)
 
 
 # ------------------------------------------------------- classical center
@@ -206,15 +232,15 @@ def test_classical_residual_quench(quench_profile):
     assert result["momentum_mismatch"] <= 1e-6
 
 
-def test_classical_residual_every_matches_subsampled(quench_profile):
+def test_classical_residual_rejects_corrupted_trajectory(quench_profile):
+    # u' scaled by 1.001 moves p_c off the classical path at once and x_c
+    # after it; the independent solve sees both
     t_grid = np.linspace(0.0, 10.0, 2001)
     traj = evolve_mode(quench_profile, wkb_mode(quench_profile, 0.0), t_grid)
     traj_nu = apply_squeeze(traj, SqueezeParams(0.5, 0.3))
-    coarse = evolve_mode(quench_profile, wkb_mode(quench_profile, 0.0), t_grid[::4])
-    # the ODE solve itself does not depend on the output grid, so every 4th
-    # sample of the fine trajectory is the coarse trajectory
-    assert np.array_equal(coarse.u, traj.u[::4])
-    coarse_nu = apply_squeeze(coarse, SqueezeParams(0.5, 0.3))
-    assert classical_equation_residual(traj_nu, 1.0 + 0.5j, 1.0, every=4) == (
-        classical_equation_residual(coarse_nu, 1.0 + 0.5j, 1.0)
+    corrupted = ModeTrajectory(
+        traj_nu.t, traj_nu.u, traj_nu.u_dot * 1.001, traj_nu.mass, profile=quench_profile
     )
+    result = classical_equation_residual(corrupted, 1.0 + 0.5j, 1.0)
+    assert result["equation_residual"] > 1e-6
+    assert result["momentum_mismatch"] > 1e-6
