@@ -1,6 +1,9 @@
-"""Low-level numerical kernels: high-order finite-difference stencils and
-the trapezoid rule on sampled grids, and branch-continuous complex square
-roots."""
+"""Low-level numerical kernels: high-order finite-difference stencils, the
+trapezoid rule on sampled grids, and branch-continuous complex square roots.
+stencil_expectations integrates conj(f) f' and conj(f) f'' with the
+stencils of derivative and second_derivative, summed by parts so that no
+derivative array is built.
+"""
 
 import numpy as np
 
@@ -37,6 +40,38 @@ def second_derivative(values: np.ndarray, dx: float) -> np.ndarray:
     return _apply_stencil(np.asarray(values), _D2_WEIGHTS) / dx**2
 
 
+def stencil_expectations(values: np.ndarray, dx: float) -> tuple:
+    """(Im I1, Re I2) for I1 = int conj(f) f' dx and I2 = int conj(f) f'' dx
+    by the trapezoid rule on a uniform grid of step ``dx``, with f' and f''
+    the 8th-order stencils of ``derivative`` and ``second_derivative``.
+
+    Each interior sum is regrouped over the lags k = 1..4 of the stencil,
+    on f padded with the stencil's zeros.  With C_k = sum_j conj(f_j) f_{j+k}
+    and the weights odd in k, sum_j conj(f_j) (D1 f)_j = 2i sum_k w1_k Im C_k.
+    The D2 weights are even and sum to zero, so sum_j conj(f_j) (D2 f)_j =
+    -sum_k w2_k ||f_{.+k} - f_.||^2: a sum of squared differences, which
+    keeps the O(dx^2) result free of the cancellation in C_0 - Re C_k.  The
+    trapezoid rule takes half of the two end samples off the sum.
+    """
+    f = np.asarray(values, dtype=complex)
+    half = _D1_WEIGHTS.shape[0] // 2
+    zeros = np.zeros(half, dtype=complex)
+    padded = np.concatenate((zeros, f, zeros))
+    first = 0.0
+    second = 0.0
+    for k in range(1, half + 1):
+        w1, w2 = _D1_WEIGHTS[half + k], _D2_WEIGHTS[half + k]
+        first += w1 * np.vdot(padded[:-k], padded[k:]).imag
+        step = padded[k:] - padded[:-k]
+        second += w2 * np.vdot(step, step).real
+    # the stencil windows of the two end samples, each weighted 1/2
+    edges = np.stack((padded[: 2 * half + 1], padded[-2 * half - 1 :]))
+    ends = f[[0, -1]]
+    first = 2.0 * first - 0.5 * np.vdot(ends, edges @ _D1_WEIGHTS).imag
+    second = -second - 0.5 * np.vdot(ends, edges @ _D2_WEIGHTS).real
+    return float(first), float(second) / dx
+
+
 def trapezoid(values: np.ndarray, steps: np.ndarray):
     """Composite trapezoid rule on samples whose grid steps are
     ``steps = x[1:] - x[:-1]``.
@@ -46,6 +81,12 @@ def trapezoid(values: np.ndarray, steps: np.ndarray):
     array-namespace dispatch on every call.
     """
     return np.sum(steps * (values[1:] + values[:-1]) / 2.0)
+
+
+def trapezoid_dot(a: np.ndarray, b: np.ndarray, dx: float) -> float:
+    """Trapezoid integral of the real product a b on a uniform grid of step
+    ``dx``: dx (sum - half the two end samples), with no product array."""
+    return float(dx * (np.dot(a, b) - 0.5 * (a[0] * b[0] + a[-1] * b[-1])))
 
 
 def continuous_sqrt(values: np.ndarray) -> np.ndarray:

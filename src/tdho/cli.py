@@ -37,7 +37,7 @@ from .errors import (
 from .mode_solver import SqueezeParams, apply_squeeze, evolve_mode, polar_decompose, wkb_mode
 from .observables import analytic_moments, inner_product, quadrature_moments
 from .profiles import OscillatorProfile, parse_profile, profile_hash
-from .states import StateSpec, comoving_hermite, dsn_wavefunction, spatial_grid
+from .states import _GRID_POINTS_MAX, StateSpec, comoving_hermite, dsn_wavefunction, spatial_grid
 from .verification import (
     classical_equation_residual,
     crosscheck_static,
@@ -88,10 +88,21 @@ def _require_keys(mapping: dict, where: str, required: set, optional: set):
         raise ScenarioError(f"{where}: missing key(s) {sorted(missing)}")
 
 
+def _finite(value) -> bool:
+    """A JSON number that is a finite float: not a boolean, NaN, Infinity or
+    an integer beyond the float range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(mapping: dict, where: str, key: str, default=None):
     value = mapping.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}")
+    if not _finite(value):
+        raise ScenarioError(f"{where}.{key}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -101,7 +112,7 @@ def load_scenario(path) -> Scenario:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, digit limits
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from None
     _require_keys(
         raw,
@@ -131,8 +142,8 @@ def load_scenario(path) -> Scenario:
     grid = raw.get("grid", {})
     _require_keys(grid, "grid", set(), {"points", "half_width_sigmas"})
     points = grid.get("points", 2048)
-    if not isinstance(points, int) or points < 64:
-        raise ScenarioError("grid.points: must be an integer >= 64")
+    if not isinstance(points, int) or not 64 <= points <= _GRID_POINTS_MAX:
+        raise ScenarioError(f"grid.points: must be an integer in [64, {_GRID_POINTS_MAX}]")
     sigmas = _number(grid, "grid", "half_width_sigmas", 8.0)
     if sigmas < 4:
         raise ScenarioError("grid.half_width_sigmas: must be >= 4")
@@ -173,9 +184,9 @@ def load_scenario(path) -> Scenario:
         if (
             not isinstance(alpha_raw, list)
             or len(alpha_raw) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in alpha_raw)
+            or not all(_finite(v) for v in alpha_raw)
         ):
-            raise ScenarioError(f"{where}.alpha: expected [re, im]")
+            raise ScenarioError(f"{where}.alpha: expected [re, im] of finite numbers")
         r = _number(entry, where, "r", 0.0)
         if r < 0:
             raise ScenarioError(f"{where}.r: must be >= 0")

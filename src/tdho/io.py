@@ -63,21 +63,18 @@ def write_wavefunction_csv(grid: WaveFunctionGrid, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+def _encode(obj):
+    """JSON form of the values json cannot encode itself: complex numbers
+    as {"re", "im"}, NumPy scalars and arrays as Python numbers and lists.
+    np.float64 is a float and never reaches this hook."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(obj, path) -> None:
     """UTF-8 JSON with stable (insertion) key order and a trailing newline."""
-    text = json.dumps(_jsonable(obj), indent=2, ensure_ascii=False)
+    text = json.dumps(obj, indent=2, ensure_ascii=False, default=_encode)
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")

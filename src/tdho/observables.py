@@ -2,10 +2,11 @@
 
 Quadrature uses the composite trapezoid rule on the uniform grid, which is
 exponentially accurate for smooth integrands that decay below tolerance at
-the grid ends; it is _numerics.trapezoid on the grid's step vector, the
-arithmetic of scipy.integrate.trapezoid without its per-call dispatch.
-Momentum moments differentiate with the 8th-order stencil rather than an
+the grid ends.  Momentum moments use the 8th-order stencil rather than an
 FFT to avoid periodicity artifacts at truncated boundaries.
+quadrature_moments sums the stencil by parts: the same discrete operator
+summed in another order, so it builds no derivative array and still reads
+nothing but the psi samples.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import derivative, second_derivative, trapezoid
+from ._numerics import stencil_expectations, trapezoid, trapezoid_dot
 from .errors import GridError
 from .mode_solver import ModePoint
 from .states import COVERAGE_GUARD, StateSpec, WaveFunctionGrid, classical_trajectory
@@ -70,25 +71,30 @@ def inner_product(f: WaveFunctionGrid, g: WaveFunctionGrid) -> complex:
 def quadrature_moments(psi: WaveFunctionGrid, hbar: float) -> MomentSet:
     """Moments of one wave function by direct quadrature.
 
-    <x>, <x^2> integrate |psi|^2 directly; <p>, <p^2> apply -i hbar d/dx
-    with the high-order stencil before integrating.  Moments are divided by
-    the computed norm, so slightly unnormalized input is handled gracefully.
+    <x>, <x^2> integrate x |psi|^2 and x^2 |psi|^2 from |psi|, which the
+    coverage guard needs anyway.  <p>, <p^2> integrate conj(psi)
+    (-i hbar d/dx)^k psi with the stencils of derivative and
+    second_derivative, their zero padding and the trapezoid rule, summed by
+    parts over the stencil's lags (_numerics.stencil_expectations); the
+    result equals applying the stencil and integrating, up to rounding.
+    Moments are divided by the computed norm, so slightly unnormalized input
+    is handled gracefully.
     """
-    ratio = psi.boundary_ratio()
+    magnitude = np.abs(psi.psi)
+    ratio = psi.boundary_ratio(magnitude)
     if ratio > COVERAGE_GUARD:
         raise GridError(
             f"quadrature_moments: boundary amplitude {ratio:.2e} of peak; "
             "grid does not cover the state"
         )
-    x, steps = psi.x, psi.steps
-    density = np.abs(psi.psi) ** 2
-    norm = float(trapezoid(density, steps))
-    mean_x = float(trapezoid(x * density, steps)) / norm
-    mean_x2 = float(trapezoid(x**2 * density, steps)) / norm
-    dpsi = derivative(psi.psi, psi.dx)
-    d2psi = second_derivative(psi.psi, psi.dx)
-    mean_p = float(np.real(trapezoid(np.conj(psi.psi) * (-1j * hbar) * dpsi, steps))) / norm
-    mean_p2 = float(np.real(trapezoid(np.conj(psi.psi) * (-(hbar**2)) * d2psi, steps))) / norm
+    dx = psi.dx
+    weighted = psi.x * magnitude
+    norm = trapezoid_dot(magnitude, magnitude, dx)
+    mean_x = trapezoid_dot(weighted, magnitude, dx) / norm
+    mean_x2 = trapezoid_dot(weighted, weighted, dx) / norm
+    first, second = stencil_expectations(psi.psi, dx)
+    mean_p = hbar * first / norm
+    mean_p2 = -(hbar**2) * second / norm
     return MomentSet.from_means(mean_x, mean_p, mean_x2, mean_p2)
 
 

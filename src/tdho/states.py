@@ -109,11 +109,15 @@ class WaveFunctionGrid:
         self.dx = float(dx)
         self.meta = dict(meta or {})
 
-    def boundary_ratio(self) -> float:
-        peak = float(np.max(np.abs(self.psi)))
+    def boundary_ratio(self, magnitude: np.ndarray | None = None) -> float:
+        """Largest end amplitude over the peak; ``magnitude`` is |psi| when
+        the caller already has it."""
+        if magnitude is None:
+            magnitude = np.abs(self.psi)
+        peak = float(np.max(magnitude))
         if peak == 0.0:
             return 0.0
-        return float(max(abs(self.psi[0]), abs(self.psi[-1])) / peak)
+        return float(max(magnitude[0], magnitude[-1]) / peak)
 
     def norm_sq(self) -> float:
         return float(trapezoid(np.abs(self.psi) ** 2, self.steps))

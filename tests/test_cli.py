@@ -51,12 +51,32 @@ def test_load_shipped_scenarios():
         ({"outputs": "x"}, "outputs: expected an object"),
         ({"tolerances": [1]}, "tolerances: expected an object"),
         ({"states": [{"n": True}]}, "non-negative integer"),
+        ({"hbar": float("nan")}, "hbar"),
+        ({"time_grid": {"t_start": 0.0, "t_end": float("inf"), "samples": 5}}, "t_end"),
+        ({"states": [{"n": 0, "r": float("nan")}]}, r"states\[0\]\.r"),
+        ({"tolerances": {"quadrature_tol": float("nan")}}, "quadrature_tol"),
+        ({"grid": {"half_width_sigmas": float("inf")}}, "half_width_sigmas"),
+        ({"states": [{"n": 0, "alpha": [float("nan"), 0.0]}]}, "alpha"),
+        ({"grid": {"points": states._GRID_POINTS_MAX + 1}}, "points"),
+        ({"hbar": 10**400}, "hbar"),
     ],
 )
 def test_scenario_validation_errors(tmp_path, overrides, message):
     path = write_scenario(tmp_path, **overrides)
     with pytest.raises(ScenarioError, match=message):
         load_scenario(path)
+
+
+def test_scenario_unreadable_text(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b'{"hbar": "\xff"}')
+    with pytest.raises(ScenarioError, match="not valid JSON"):
+        load_scenario(path)
+
+
+def test_grid_points_ceiling_accepted(tmp_path):
+    path = write_scenario(tmp_path, grid={"points": states._GRID_POINTS_MAX})
+    assert load_scenario(path).grid_points == states._GRID_POINTS_MAX
 
 
 def test_validation_exit_code(tmp_path, capsys):

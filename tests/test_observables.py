@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from tdho import (
     spatial_grid,
     static_mode,
 )
+from tdho import _numerics, cli
+from tdho._numerics import derivative, second_derivative, stencil_expectations, trapezoid
 
 
 def _state_on_static(n, alpha, r, phi, t=0.0, hbar=1.0):
@@ -112,6 +116,69 @@ def test_analytic_vs_quadrature_sweep(rng):
         q = quadrature_moments(psi, 1.0)
         for field in ("mean_x", "mean_p", "mean_x2", "mean_p2"):
             assert getattr(a, field) == pytest.approx(getattr(q, field), abs=1e-6)
+
+
+def _stencil_moments(psi, hbar):
+    """The four means with the stencils applied as arrays and integrated by
+    _numerics.trapezoid on the grid's step vector."""
+    x, steps = psi.x, psi.steps
+    density = np.abs(psi.psi) ** 2
+    norm = float(trapezoid(density, steps))
+    mean_x = float(trapezoid(x * density, steps)) / norm
+    mean_x2 = float(trapezoid(x**2 * density, steps)) / norm
+    dpsi = derivative(psi.psi, psi.dx)
+    d2psi = second_derivative(psi.psi, psi.dx)
+    mean_p = float(np.real(trapezoid(np.conj(psi.psi) * (-1j * hbar) * dpsi, steps))) / norm
+    mean_p2 = float(np.real(trapezoid(np.conj(psi.psi) * (-(hbar**2)) * d2psi, steps))) / norm
+    return mean_x, mean_p, mean_x2, mean_p2
+
+
+def test_quadrature_moments_match_stencil_arrays(rng):
+    # summation by parts is the same discrete operator: agreement to
+    # rounding, on grids coarse enough to under-resolve the state too
+    for _ in range(24):
+        n = int(rng.integers(0, 41))
+        alpha = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        hbar = float(rng.choice([0.5, 1.0, 2.0]))
+        sq = SqueezeParams(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
+        point = apply_squeeze(static_mode(1, 1, rng.uniform(0, 6)), sq)
+        spec = StateSpec(n=n, alpha=alpha, squeeze=sq, hbar=hbar)
+        x = spatial_grid(point, hbar, n=n, alpha=alpha, points=int(rng.choice([256, 1024, 4096])))
+        psi = dsn_wavefunction(spec, point, x)
+        mean_x, mean_p, mean_x2, mean_p2 = _stencil_moments(psi, hbar)
+        m = quadrature_moments(psi, hbar)
+        # <x> and <p> relative to their second-moment scale: either may be 0
+        assert abs(m.mean_x - mean_x) <= 1e-10 * math.sqrt(mean_x2)
+        assert abs(m.mean_p - mean_p) <= 1e-10 * math.sqrt(mean_p2)
+        assert m.mean_x2 == pytest.approx(mean_x2, rel=1e-10)
+        assert m.mean_p2 == pytest.approx(mean_p2, rel=1e-10)
+
+
+@pytest.mark.parametrize("points", [9, 10, 17, 4096])
+def test_stencil_expectations_any_samples(rng, points):
+    # the identity holds for any samples, with the zero padding at both ends
+    f = rng.normal(size=points) + 1j * rng.normal(size=points)
+    steps = np.full(points - 1, 0.05)
+    first, second = stencil_expectations(f, 0.05)
+    assert first == pytest.approx(trapezoid(np.conj(f) * derivative(f, 0.05), steps).imag, rel=1e-12)
+    assert second == pytest.approx(
+        trapezoid(np.conj(f) * second_derivative(f, 0.05), steps).real, rel=1e-12
+    )
+
+
+def test_moments_request_builds_no_stencil_array(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("moments applied a stencil")
+
+    for original in (_numerics.derivative, _numerics.second_derivative):
+        for name, module in list(sys.modules.items()):
+            if name == "tdho" or name.startswith("tdho."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "quench.json"
+    assert cli.main(["moments", str(scenario), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "moments.json").exists()
 
 
 def test_quadrature_moments_coverage_error():
