@@ -34,9 +34,16 @@ from .errors import (
     ScenarioError,
     TdhoError,
 )
-from .mode_solver import SqueezeParams, apply_squeeze, evolve_mode, polar_decompose, wkb_mode
+from .mode_solver import (
+    MAX_PATH_ROWS,
+    SqueezeParams,
+    apply_squeeze,
+    evolve_mode,
+    polar_decompose,
+    wkb_mode,
+)
 from .observables import analytic_moments, inner_product, quadrature_moments
-from .profiles import OscillatorProfile, parse_profile, profile_hash
+from .profiles import OscillatorProfile, finite_number, parse_profile, profile_hash
 from .states import _GRID_POINTS_MAX, StateSpec, comoving_hermite, dsn_wavefunction, spatial_grid
 from .verification import (
     classical_equation_residual,
@@ -88,20 +95,9 @@ def _require_keys(mapping: dict, where: str, required: set, optional: set):
         raise ScenarioError(f"{where}: missing key(s) {sorted(missing)}")
 
 
-def _finite(value) -> bool:
-    """A JSON number that is a finite float: not a boolean, NaN, Infinity or
-    an integer beyond the float range."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _number(mapping: dict, where: str, key: str, default=None):
     value = mapping.get(key, default)
-    if not _finite(value):
+    if not finite_number(value):
         raise ScenarioError(f"{where}.{key}: expected a finite number, got {value!r}")
     return float(value)
 
@@ -134,8 +130,8 @@ def load_scenario(path) -> Scenario:
     t_start = _number(tg, "time_grid", "t_start")
     t_end = _number(tg, "time_grid", "t_end")
     samples = tg["samples"]
-    if not isinstance(samples, int) or samples < 2:
-        raise ScenarioError("time_grid.samples: must be an integer >= 2")
+    if not isinstance(samples, int) or not 2 <= samples <= MAX_PATH_ROWS:
+        raise ScenarioError(f"time_grid.samples: must be an integer in [2, {MAX_PATH_ROWS}]")
     if not t_end > t_start:
         raise ScenarioError("time_grid: t_end must be greater than t_start")
 
@@ -184,7 +180,7 @@ def load_scenario(path) -> Scenario:
         if (
             not isinstance(alpha_raw, list)
             or len(alpha_raw) != 2
-            or not all(_finite(v) for v in alpha_raw)
+            or not all(finite_number(v) for v in alpha_raw)
         ):
             raise ScenarioError(f"{where}.alpha: expected [re, im] of finite numbers")
         r = _number(entry, where, "r", 0.0)
@@ -221,21 +217,41 @@ def load_scenario(path) -> Scenario:
     )
 
 
-def _base_trajectory(scenario: Scenario, at=None):
-    """Base mode on one uniform path that holds the scenario time grid.
-
-    Each time-grid step is split into ``stride`` equal sub-steps, at least 4
-    and enough to unwrap the phase of the most squeezed state at the largest
-    frequency on the time grid, so row ``j * stride`` is time-grid sample j
-    bit for bit.  Returns the trajectory and the rows of the time grid, or
-    with ``at`` the row of that one time, merged into the path.
-    """
-    coarse = scenario.time_grid()
+def _path_stride(scenario: Scenario, coarse: np.ndarray) -> int:
+    """Sub-steps per time-grid step of the base path: at least 4 and enough
+    to unwrap the phase of the most squeezed state at the largest frequency
+    on the time grid.  A path of more than MAX_PATH_ROWS rows is refused with
+    a ScenarioError before anything of its size is allocated."""
     span = scenario.t_end - scenario.t_start
     omega_max = float(np.sqrt(np.max(scenario.profile.omega_sq(coarse))))
     r_max = max((s.squeeze.r for s in scenario.states), default=0.0)
-    needed = span * 16.0 * max(omega_max, 0.25) * math.exp(2.0 * r_max)
-    stride = max(4, math.ceil(needed / (scenario.samples - 1)))
+    try:
+        needed = span * 16.0 * max(omega_max, 0.25) * math.exp(2.0 * r_max)
+    except OverflowError:  # e^{2r} beyond the float range
+        needed = math.inf
+    rows = needed
+    if needed <= MAX_PATH_ROWS:
+        stride = max(4, math.ceil(needed / (scenario.samples - 1)))
+        rows = (scenario.samples - 1) * stride + 1
+        if rows <= MAX_PATH_ROWS:
+            return stride
+    raise ScenarioError(
+        f"time_grid: the mode path needs {rows:.3g} rows (span {span:.6g}, largest omega "
+        f"{omega_max:.3g}, largest r {r_max:.6g}, {scenario.samples} samples), above the "
+        f"ceiling of {MAX_PATH_ROWS}"
+    )
+
+
+def _base_trajectory(scenario: Scenario, at=None):
+    """Base mode on one uniform path that holds the scenario time grid.
+
+    Each time-grid step is split into ``_path_stride`` equal sub-steps, so
+    row ``j * stride`` is time-grid sample j bit for bit.  Returns the
+    trajectory and the rows of the time grid, or with ``at`` the row of
+    that one time, merged into the path.
+    """
+    coarse = scenario.time_grid()
+    stride = _path_stride(scenario, coarse)
     steps = coarse[:-1, None] + np.diff(coarse)[:, None] * (np.arange(stride) / stride)
     path = np.append(steps.ravel(), coarse[-1])
     if at is None:

@@ -8,6 +8,24 @@ verification) consumes (u, u') pairs produced here, either in closed form
 mixes a base mode with its conjugate, u -> cosh(r) u + e^{-i phi} sinh(r) u*,
 which preserves the Wronskian exactly.
 
+Numerical modes come from ``evolve_mode``, which steps the two-component
+system (u, u') with DOP853, the explicit 8th-order Runge-Kutta method of
+Dormand and Prince with embedded 5th- and 3rd-order error estimates, on
+Python complex scalars.  It is SciPy's DOP853 step for step: the tableau is
+read from the public attributes of ``scipy.integrate.DOP853`` (A, B, C, E3,
+E5, D, A_EXTRA, C_EXTRA), and the initial step, the E5/E3 error norm and the
+step controller (safety 0.9, factors 0.2 and 10, exponent -1/8, no growth
+after a rejection, a minimum step of ten units in the last place of t) are
+ported from ``scipy.integrate._ivp``, so a solve takes SciPy's steps and
+makes as many right-hand-side evaluations.  Step sizes follow from the
+tolerances alone and no step is shortened to land on an output time, so a
+solution sampled on a fine grid and one sampled on any subset of it agree
+bit for bit.  Output times are read from the 7th-degree dense-output
+polynomial of the step that covers them: each such step keeps only its
+start, its length, its start values and the polynomial's seven coefficients
+per component, and one vectorized pass evaluates every output time after
+the last step.
+
 Wronskian drift of integrated trajectories is monitored and reported but
 never corrected by rescaling; a drifting Wronskian indicates integrator
 trouble and silent renormalization would mask it.
@@ -15,11 +33,12 @@ trouble and silent renormalization would mask it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import DOP853, quad
 
 from ._numerics import unwrap_angles
 from .errors import ModeSolverError, PhaseUnwrapError, ProfileError
@@ -30,6 +49,11 @@ INITIAL_WRONSKIAN_TOL = 1e-12
 
 #: largest phase step polar_decompose accepts between consecutive samples.
 MAX_PHASE_STEP = math.pi / 2
+
+#: most output times a caller builds into one mode path: 77 times the
+#: largest benchmark path (3,401 rows).  A unit-frequency solve that fills
+#: it takes ~5 s and ~75 MB.  Larger requests are refused unbuilt.
+MAX_PATH_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -68,9 +92,13 @@ class ModeTrajectory:
     """Mode samples on a strictly increasing time grid.
 
     Arrays are frozen after construction; instances are safe to share.
+    ``rhs_evals`` counts the right-hand-side evaluations of the solve that
+    produced the samples (0 for closed forms and derived trajectories).
     """
 
-    def __init__(self, t, u, u_dot, mass, profile: OscillatorProfile | None = None):
+    def __init__(
+        self, t, u, u_dot, mass, profile: OscillatorProfile | None = None, rhs_evals: int = 0
+    ):
         t = np.asarray(t, dtype=float)
         u = np.asarray(u, dtype=complex)
         u_dot = np.asarray(u_dot, dtype=complex)
@@ -86,6 +114,7 @@ class ModeTrajectory:
         self.u_dot = u_dot
         self.mass = mass
         self.profile = profile
+        self.rhs_evals = rhs_evals
 
     def __len__(self) -> int:
         return self.t.size
@@ -167,14 +196,21 @@ def evolve_mode(
 ) -> ModeTrajectory:
     """Integrate the mode equation and sample the solution on t_grid.
 
-    Uses an adaptive embedded Runge-Kutta pair (DOP853) on the first-order
-    complex system (u, u'), with dense output interpolated onto the
-    requested grid.  The right-hand side reads (m'/m, omega^2) from one
-    scalar ``profile.coefficients(t)`` call per evaluation; a non-positive
-    mass raises ModeSolverError naming the last good time.  The initial
-    point must satisfy the Wronskian normalization to 1e-12; drift along the
-    trajectory is reported through ModeTrajectory.max_wronskian_drift, never
-    corrected.
+    Steps the first-order complex system (u, u') with the module's DOP853,
+    which takes the steps of ``scipy.integrate.solve_ivp(method="DOP853",
+    t_eval=t_grid)`` and makes the same number of right-hand-side
+    evaluations (kept as ModeTrajectory.rhs_evals); u and u' agree with
+    SciPy's to rounding.  The steps depend on the tolerances, not on t_grid,
+    so the value at one time does not depend on which other times are
+    requested.  After the last step every time of t_grid is read from the
+    dense-output polynomial of the step that covers it, in one vectorized
+    pass.  The right-hand side reads (m'/m, omega^2) from one scalar
+    ``profile.coefficients(t)`` call per evaluation; a non-positive mass
+    raises ModeSolverError naming the last good time, and a step size below
+    ten units in the last place of t raises ModeSolverError naming the last
+    accepted time.  The initial point must satisfy the Wronskian
+    normalization to 1e-12; drift along the trajectory is reported through
+    ModeTrajectory.max_wronskian_drift, never corrected.
     """
     if not 1e-13 <= rel_tol <= 1e-6:
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-6], got {rel_tol}")
@@ -186,44 +222,193 @@ def evolve_mode(
     if t_grid.size >= 2 and np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     drift = abs(complex(wronskian(initial)) - 1j)
-    if drift > INITIAL_WRONSKIAN_TOL:
+    if not drift <= INITIAL_WRONSKIAN_TOL:  # NaN data fails too
         raise ModeSolverError(
             f"initial mode violates the Wronskian normalization (|W - i| = {drift:.2e})"
         )
-
-    last_good = [initial.t]
-    coefficients = profile.coefficients
-
-    def rhs(t, y):
-        _, k, omega_sq = coefficients(t)
-        last_good[0] = t
-        return np.array([y[1], -k * y[1] - omega_sq * y[0]], dtype=complex)
-
-    y0 = np.array([initial.u, initial.u_dot], dtype=complex)
     if t_grid.size == 1:
         return ModeTrajectory(
             t_grid, [initial.u], [initial.u_dot], [initial.mass], profile
         )
+    segments, counts, evals = _dop853(
+        profile.coefficients,
+        t_grid.tolist(),
+        complex(initial.u),
+        complex(initial.u_dot),
+        rel_tol,
+        abs_tol,
+    )
+    u, u_dot = _dense_output(segments, counts, t_grid)
+    return ModeTrajectory(t_grid, u, u_dot, profile.mass(t_grid), profile, rhs_evals=evals)
+
+
+def _nonzero(row) -> tuple:
+    """(j, a_j) for the nonzero entries of one tableau row, as floats."""
+    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+
+
+# The DOP853 tableau (Hairer, Norsett and Wanner, Solving Ordinary
+# Differential Equations I, Sec. II.10) as (c_s, nonzero a_sj) per stage;
+# stage sums then skip the zero entries.
+_STAGES = tuple(
+    (float(c), _nonzero(a[:s])) for s, (a, c) in enumerate(zip(DOP853.A, DOP853.C)) if s
+)
+_B = _nonzero(DOP853.B)
+_E3 = _nonzero(DOP853.E3)
+_E5 = _nonzero(DOP853.E5)
+_EXTRA = tuple(
+    (float(c), _nonzero(a[:s]))
+    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)
+)
+_D = tuple(_nonzero(row) for row in DOP853.D)
+_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_SQRT2 = 2**0.5
+
+
+def _combine(row, ku: list, kv: list):
+    """sum_j a_j (ku_j, kv_j) over the nonzero entries (j, a_j) of a row."""
+    su = sv = 0j
+    for j, a in row:
+        su += a * ku[j]
+        sv += a * kv[j]
+    return su, sv
+
+
+def _norm(xu: complex, xv: complex, su: float, sv: float) -> float:
+    """Euclidean norm of (xu/su, xv/sv), summed as NumPy sums it."""
+    ru, rv, iu, iv = xu.real / su, xv.real / sv, xu.imag / su, xv.imag / sv
+    return math.sqrt((ru * ru + rv * rv) + (iu * iu + iv * iv))
+
+
+def _dop853(coefficients, t_out: list, u: complex, v: complex, rtol: float, atol: float):
+    """Step (u, v = u') from t_out[0] to t_out[-1] with DOP853.
+
+    Every accepted step that covers output times keeps one dense-output
+    segment (t_old, h, u_old, v_old, F_0..F_6 for u, F_0..F_6 for v), and
+    ``counts`` says how many output times each covers; the three extra
+    stages are evaluated only for those steps, as SciPy does for t_eval.
+    Returns the segments, the counts and the number of right-hand-side
+    evaluations.
+    """
+    t, t_bound = t_out[0], t_out[-1]
+    last = t  # the last time at which the profile evaluated without error
+
+    def rhs(s, a, b):
+        nonlocal last
+        _, k, omega_sq = coefficients(s)
+        last = s
+        return b, -k * b - omega_sq * a
+
     try:
-        sol = solve_ivp(
-            rhs,
-            (t_grid[0], t_grid[-1]),
-            y0,
-            method="DOP853",
-            rtol=rel_tol,
-            atol=abs_tol,
-            t_eval=t_grid,
-        )
+        fu, fv = rhs(t, u, v)
+        # initial step, as scipy.integrate._ivp.common.select_initial_step
+        span = t_bound - t
+        su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+        d0 = _norm(u, v, su, sv) / _SQRT2
+        d1 = _norm(fu, fv, su, sv) / _SQRT2
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+        gu, gv = rhs(t + h0, u + h0 * fu, v + h0 * fv)
+        d2 = _norm(gu - fu, gv - fv, su, sv) / _SQRT2 / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
+        h_abs = min(100 * h0, h1, span)
+        evals = 2
+
+        segments, counts, nxt = [], [], 0
+        while t < t_bound:
+            min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise ModeSolverError(
+                        f"mode integration failed after t={t:.6g}: required step "
+                        "size is less than spacing between numbers"
+                    )
+                t_new = min(t + h_abs, t_bound)
+                h = t_new - t
+                h_abs = abs(h)
+                ku, kv = [fu], [fv]
+                for c, row in _STAGES:
+                    du, dv = _combine(row, ku, kv)
+                    gu, gv = rhs(t + c * h, u + du * h, v + dv * h)
+                    ku.append(gu)
+                    kv.append(gv)
+                du, dv = _combine(_B, ku, kv)
+                u_new, v_new = u + h * du, v + h * dv
+                gu, gv = rhs(t + h, u_new, v_new)
+                ku.append(gu)
+                kv.append(gv)
+                evals += 12
+                su = atol + max(abs(u), abs(u_new)) * rtol
+                sv = atol + max(abs(v), abs(v_new)) * rtol
+                e5 = _norm(*_combine(_E5, ku, kv), su, sv)
+                e3 = _norm(*_combine(_E3, ku, kv), su, sv)
+                e5, e3 = e5 * e5, e3 * e3  # SciPy squares the norms
+                if e5 == 0 and e3 == 0:
+                    error = 0.0
+                else:
+                    error = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+                if error < 1:
+                    if error == 0:
+                        factor = _MAX_FACTOR
+                    else:
+                        factor = min(_MAX_FACTOR, _SAFETY * error**_EXPONENT)
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * error**_EXPONENT)
+                rejected = True
+
+            if t_out[nxt] <= t_new:
+                for c, row in _EXTRA:
+                    du, dv = _combine(row, ku, kv)
+                    gu, gv = rhs(t + c * h, u + du * h, v + dv * h)
+                    ku.append(gu)
+                    kv.append(gv)
+                evals += 3
+                delta_u, delta_v = u_new - u, v_new - v
+                dense = [_combine(row, ku, kv) for row in _D]
+                segments.append(
+                    (t, h, u, v)
+                    + (delta_u, h * ku[0] - delta_u, 2 * delta_u - h * (ku[12] + ku[0]))
+                    + tuple(h * a for a, _ in dense)
+                    + (delta_v, h * kv[0] - delta_v, 2 * delta_v - h * (kv[12] + kv[0]))
+                    + tuple(h * b for _, b in dense)
+                )
+                end = bisect.bisect_right(t_out, t_new, nxt)
+                counts.append(end - nxt)
+                nxt = end
+            t, u, v, fu, fv = t_new, u_new, v_new, ku[12], kv[12]
     except ProfileError as exc:
         raise ModeSolverError(
-            f"profile became invalid during integration (last good t={last_good[0]:.6g}): {exc}"
+            f"profile became invalid during integration (last good t={last:.6g}): {exc}"
         ) from exc
-    if not sol.success:
-        raise ModeSolverError(
-            f"mode integration failed after t={last_good[0]:.6g}: {sol.message}"
-        )
-    mass = profile.mass(t_grid)
-    return ModeTrajectory(t_grid, sol.y[0], sol.y[1], mass, profile)
+    except OverflowError:  # abs() of a complex value beyond the float range
+        raise ModeSolverError(f"mode integration overflowed after t={t:.6g}") from None
+    return segments, counts, evals
+
+
+def _dense_output(segments: list, counts: list, t_grid: np.ndarray):
+    """u and u' at every time of t_grid from the dense-output segments.
+
+    One vectorized pass evaluates SciPy's nested form of the polynomial,
+    y_old + x(F_0 + (1 - x)(F_1 + x(F_2 + ... ))) with x = (t - t_old)/h,
+    one coefficient column at a time.
+    """
+    data = np.array(segments, dtype=complex)
+    seg = np.repeat(np.arange(len(counts)), counts)
+    x = (t_grid - data[seg, 0].real) / data[seg, 1].real
+    x_rest = 1 - x
+    out = []
+    for col, first in ((2, 4), (3, 11)):
+        y = data[seg, first + 6] * x
+        for j in range(5, -1, -1):
+            y = (y + data[seg, first + j]) * (x_rest if j % 2 else x)
+        out.append(y + data[seg, col])
+    return out
 
 
 def apply_squeeze(base, sq: SqueezeParams):

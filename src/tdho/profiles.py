@@ -197,6 +197,18 @@ def evaluate_profile(profile: OscillatorProfile, t):
     return mass, omega_sq
 
 
+def finite_number(value) -> bool:
+    """A JSON number that is a finite float: not a boolean, NaN, Infinity or
+    an integer beyond the float range.  The one rule for every number of a
+    scenario, its profile's included."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def parse_profile(fragment: dict) -> OscillatorProfile:
     """Build and validate a profile from one JSON-style mapping.
 
@@ -210,10 +222,10 @@ def parse_profile(fragment: dict) -> OscillatorProfile:
     kind = fragment["kind"]
     params = {k: v for k, v in fragment.items() if k != "kind"}
     for key, value in params.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ProfileError(f"profile.{key}: expected a number, got {value!r}")
-        if not math.isfinite(float(value)):
-            raise ProfileError(f"profile.{key}: must be finite")
+        if not finite_number(value):
+            raise ProfileError(
+                f"profile.{key}: expected a number that is finite, got {value!r}"
+            )
     try:
         return OscillatorProfile(kind, params)
     except ProfileError as exc:

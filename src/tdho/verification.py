@@ -29,8 +29,9 @@ from numpy.polynomial import hermite as hermite_poly
 from scipy.integrate import odeint
 
 from ._numerics import continuous_sqrt, second_derivative, trapezoid
-from .errors import GridError, ModeSolverError, PhaseUnwrapError
+from .errors import GridError, ModeSolverError, PhaseUnwrapError, ScenarioError
 from .mode_solver import (
+    MAX_PATH_ROWS,
     ModeTrajectory,
     SqueezeParams,
     apply_squeeze,
@@ -281,7 +282,8 @@ def schrodinger_residual(
     the trajectory's first sample, sampled densely enough to unwrap the
     phase of the most squeezed state; H Psi uses the 8th-order spatial
     stencil.  Returns ||i hbar dPsi/dt - H Psi|| / ||H Psi|| in L2 on the
-    grid for each of ``specs``, in order.
+    grid for each of ``specs``, in order.  A mode path of more than
+    MAX_PATH_ROWS rows is refused with ScenarioError before it is built.
     """
     if not 0.0 < dt <= 1e-3:
         raise ValueError(f"dt must lie in (0, 1e-3], got {dt}")
@@ -298,9 +300,16 @@ def schrodinger_residual(
             )
 
     eval_times = np.array([t - dt, t, t + dt])
-    boost = math.exp(2.0 * max(spec.squeeze.r for spec in specs))
-    density = max(256, int(math.ceil((t + dt - t0) * 16.0 * max(omega_max, 0.25) * boost)) + 1)
+    r_max = max(spec.squeeze.r for spec in specs)
+    needed = (t + dt - t0) * 16.0 * max(omega_max, 0.25) * math.exp(2.0 * r_max)
+    # capped so that an overflowing estimate still converts; refused below
+    density = max(256, int(math.ceil(min(MAX_PATH_ROWS, needed))) + 1)
     for attempt in range(3):
+        if density > MAX_PATH_ROWS:
+            raise ScenarioError(
+                f"schrodinger_residual: the mode path to t={t + dt:.6g} needs more than "
+                f"{MAX_PATH_ROWS} rows (largest omega {omega_max:.3g}, largest r {r_max:.6g})"
+            )
         path = np.union1d(np.linspace(t0, t + dt, density), eval_times)
         base = evolve_mode(profile, traj.point(0), path, rel_tol=RESIDUAL_ODE_REL_TOL)
         modes = [apply_squeeze(base, spec.squeeze) for spec in specs]

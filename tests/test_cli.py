@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from tdho import cli, states, verification
 from tdho.cli import load_scenario, main
 from tdho.errors import ScenarioError
-from tdho.mode_solver import evolve_mode
+from tdho.mode_solver import MAX_PATH_ROWS, evolve_mode
 from tdho.states import weighted_hermite
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -59,6 +60,8 @@ def test_load_shipped_scenarios():
         ({"states": [{"n": 0, "alpha": [float("nan"), 0.0]}]}, "alpha"),
         ({"grid": {"points": states._GRID_POINTS_MAX + 1}}, "points"),
         ({"hbar": 10**400}, "hbar"),
+        ({"profile": {"kind": "static", "m0": 10**400, "omega0": 1}}, "profile.m0"),
+        ({"time_grid": {"t_start": 0, "t_end": 1, "samples": MAX_PATH_ROWS + 1}}, "samples"),
     ],
 )
 def test_scenario_validation_errors(tmp_path, overrides, message):
@@ -83,6 +86,36 @@ def test_validation_exit_code(tmp_path, capsys):
     path = write_scenario(tmp_path, profile={"kind": "static", "m0": -1, "omega0": 1})
     assert main(["verify", path]) == 1
     assert "m0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, cause",
+    [
+        ({"states": [{"n": 0, "r": 30}]}, "largest r 30"),
+        ({"states": [{"n": 0, "r": 400}]}, "largest r 400"),  # e^{2r} overflows
+        ({"time_grid": {"t_start": 0, "t_end": 1e9, "samples": 7}}, "span 1e+09"),
+        ({"profile": {"kind": "static", "m0": 1, "omega0": 1e6}}, "largest omega 1e+06"),
+    ],
+)
+@pytest.mark.parametrize("command", ["evolve", "verify"])
+def test_path_ceiling_refused_unbuilt(tmp_path, capsys, monkeypatch, overrides, cause, command):
+    # the path's row count is worked out from the scenario before anything
+    # of that size is allocated, and the request exits 1 naming the cause
+    def no_solve(*args, **kwargs):
+        raise AssertionError("evolve_mode reached")
+
+    monkeypatch.setattr(cli, "evolve_mode", no_solve)
+    path = write_scenario(tmp_path, **overrides)
+    tracemalloc.start()
+    try:
+        code = main([command, path, "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ceiling" in err and cause in err
+    assert peak < 10 * 2**20
 
 
 # ------------------------------------------------------------ subcommands

@@ -1,11 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from tdho import (
+    ModePoint,
     ModeSolverError,
     OscillatorProfile,
     PhaseUnwrapError,
@@ -19,6 +22,9 @@ from tdho import (
     wkb_mode,
     wronskian,
 )
+from tdho import cli
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def brute_force_rk4(profile, u0, udot0, t_end, steps):
@@ -148,6 +154,10 @@ def test_evolve_validates_inputs(static_profile):
     bad = type(good)(t=0.0, u=good.u * 1.01, u_dot=good.u_dot, mass=good.mass)
     with pytest.raises(ModeSolverError, match="Wronskian"):
         evolve_mode(static_profile, bad, np.linspace(0, 1, 5))
+    # a NaN start would otherwise choose a NaN step and never finish
+    nan = type(good)(t=0.0, u=complex("nan+nanj"), u_dot=good.u_dot, mass=good.mass)
+    with pytest.raises(ModeSolverError, match="Wronskian"):
+        evolve_mode(static_profile, nan, np.linspace(0, 1, 5))
 
 
 def test_evolve_reports_profile_failure():
@@ -155,6 +165,95 @@ def test_evolve_reports_profile_failure():
     prof = OscillatorProfile.mass_linear_ramp(m0=1.0, omega0=1.0, rate=-0.2)
     with pytest.raises(ModeSolverError, match="t=5"):
         evolve_mode(prof, wkb_mode(prof, 0.0), np.linspace(0.0, 10.0, 21))
+
+
+def scipy_dop853(profile, initial, t_eval, rel_tol):
+    """Reference solve: SciPy's own DOP853 on the same right-hand side."""
+    coefficients = profile.coefficients
+
+    def rhs(t, y):
+        _, k, omega_sq = coefficients(t)
+        return np.array([y[1], -k * y[1] - omega_sq * y[0]], dtype=complex)
+
+    y0 = np.array([initial.u, initial.u_dot], dtype=complex)
+    span = (t_eval[0], t_eval[-1])
+    return solve_ivp(
+        rhs, span, y0, method="DOP853", rtol=rel_tol, atol=1e-12, t_eval=t_eval
+    )
+
+
+def cli_paths():
+    """(profile, initial point, path, rel_tol) of each shipped scenario's
+    base solve, as the command line builds it, named after the scenario."""
+    out = []
+
+    def record(profile, initial, path, rel_tol):
+        out.append(pytest.param(profile, initial, np.asarray(path), rel_tol, id=name))
+        return evolve_mode(profile, initial, path, rel_tol=rel_tol)
+
+    original = cli.evolve_mode
+    cli.evolve_mode = record
+    try:
+        for name in ("static", "quench", "mass_ramp", "sinusoidal"):
+            cli._base_trajectory(cli.load_scenario(SCENARIOS / f"{name}.json"))
+    finally:
+        cli.evolve_mode = original
+    return out
+
+
+def extra_paths():
+    rng = np.random.default_rng(7)
+    sinusoid = OscillatorProfile.sinusoidal(
+        m0=float(rng.uniform(0.5, 2.0)),
+        omega0=float(rng.uniform(0.6, 2.0)),
+        depth=float(rng.uniform(0.05, 0.3)),
+        rate=float(rng.uniform(1.0, 3.0)),
+    )
+    narrow = OscillatorProfile.tanh_quench(
+        m0=1.0, omega_initial=1.0, omega_final=3.0, t_center=4.0, width=0.02
+    )
+    ramp = OscillatorProfile.mass_linear_ramp(m0=1.5, omega0=1.2, rate=-0.03, start=1.0)
+    # the sinusoid's output is sparse: most of its steps cover no output time
+    sparse = np.array([0.0, 3.3, 17.0, 40.0])
+    return [
+        pytest.param(sinusoid, wkb_mode(sinusoid, 0.0), sparse, 1e-10, id="seeded_sinusoid"),
+        pytest.param(
+            narrow, wkb_mode(narrow, 0.0), np.linspace(0.0, 8.0, 801), 1e-11, id="narrow_quench"
+        ),
+        pytest.param(
+            ramp, wkb_mode(ramp, 0.0), np.linspace(0.0, 25.0, 333), 1e-9, id="mass_ramp"
+        ),
+    ]
+
+
+@pytest.mark.parametrize("profile, initial, t_eval, rel_tol", cli_paths() + extra_paths())
+def test_evolve_matches_scipy_dop853(profile, initial, t_eval, rel_tol):
+    # the in-module stepper is SciPy's DOP853: the same steps, hence the same
+    # count of right-hand-side evaluations, and values equal to rounding
+    traj = evolve_mode(profile, initial, t_eval, rel_tol=rel_tol)
+    sol = scipy_dop853(profile, initial, t_eval, rel_tol)
+    assert sol.success
+    assert traj.rhs_evals == sol.nfev
+    for ours, ref in ((traj.u, sol.y[0]), (traj.u_dot, sol.y[1])):
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_evolve_reports_step_underflow():
+    # omega = 1e100 needs steps near 1e-100, far below ten units in the last
+    # place of t = 1, so the step size underflows at once
+    prof = OscillatorProfile.static(m0=1.0, omega0=1e100)
+    with pytest.raises(ModeSolverError, match="step size"):
+        evolve_mode(prof, static_mode(1.0, 1e100, 1.0), [1.0, 2.0])
+
+
+def test_evolve_reports_overflow():
+    # a normalized mode with |u| near the top of the float range: |u| itself
+    # is no longer a float, and the solve fails with a named error
+    mass, c = 1e-10, 0.25 / 1e-10 / 1.3e308
+    start = ModePoint(t=0.0, u=1.3e308 * (1 + 1j), u_dot=complex(c, -c), mass=mass)
+    assert abs(complex(wronskian(start)) - 1j) <= 1e-12
+    with pytest.raises(ModeSolverError, match="overflow"):
+        evolve_mode(OscillatorProfile.static(mass, 1.0), start, [0.0, 1.0])
 
 
 # ---------------------------------------------------------------- squeeze

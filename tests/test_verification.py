@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from scipy.integrate import trapezoid
 
 from tdho import (
     ModeTrajectory,
+    OscillatorProfile,
+    ScenarioError,
     SqueezeParams,
     StateSpec,
     apply_squeeze,
@@ -27,6 +30,7 @@ from tdho import (
 )
 from tdho import verification
 from tdho._numerics import second_derivative
+from tdho.mode_solver import MAX_PATH_ROWS
 
 
 # ------------------------------------------------------- static coefficients
@@ -220,6 +224,26 @@ def test_residual_rejects_large_dt(quench_profile):
     spec = StateSpec(n=0)
     with pytest.raises(ValueError, match="dt"):
         schrodinger_residual([spec], quench_profile, traj, 6.0, 2e-3)
+
+
+def test_residual_path_ceiling_refused_unbuilt(monkeypatch):
+    # omega = 1e7 over one time unit needs 1.6e8 path rows, far above the
+    # ceiling: refused before the path is allocated or solved
+    profile = OscillatorProfile.static(m0=1.0, omega0=1e7)
+    traj = static_mode(1.0, 1e7, np.array([0.0, 2.0]))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("evolve_mode reached")
+
+    monkeypatch.setattr(verification, "evolve_mode", no_solve)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError, match=f"more than {MAX_PATH_ROWS} rows"):
+            schrodinger_residual([StateSpec(n=0)], profile, traj, 1.0, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 # ------------------------------------------------------- classical center
