@@ -5,7 +5,7 @@ The pipeline: an oscillator profile (m(t), omega^2(t)) feeds a complex mode
 function solved in closed form or numerically under the Wronskian
 normalization; squeezing mixes the mode with its conjugate; the mode then
 generates exact number-state and displaced-squeezed number-state wave
-functions, their moments and energies, and a verification layer
+functions, their moments, and a verification layer
 (Schroedinger residual, classical centre against an independent solve,
 static-oscillator closed forms) that checks the whole chain independently.
 """
@@ -26,16 +26,15 @@ from .mode_solver import (
     diagonalization_residual,
     evolve_mode,
     polar_decompose,
+    squeezed_phase,
     static_mode,
     wkb_mode,
     wronskian,
 )
 from .observables import (
     MomentSet,
-    analytic_energy,
     analytic_moments,
     inner_product,
-    quadrature_energy,
     quadrature_moments,
 )
 from .profiles import OscillatorProfile, evaluate_profile, parse_profile, profile_hash
@@ -43,7 +42,6 @@ from .states import (
     PhaseSpacePoint,
     StateSpec,
     WaveFunctionGrid,
-    alpha_from_phase_space,
     classical_trajectory,
     dsn_wavefunction,
     lower,
@@ -56,7 +54,6 @@ from .verification import (
     StaticCoefficients,
     classical_equation_residual,
     crosscheck_static,
-    nieto_AB,
     nieto_F,
     nieto_t0_identity_residuals,
     nieto_time_identity_residuals,
@@ -81,14 +78,13 @@ __all__ = [
     "diagonalization_residual",
     "evolve_mode",
     "polar_decompose",
+    "squeezed_phase",
     "static_mode",
     "wkb_mode",
     "wronskian",
     "MomentSet",
-    "analytic_energy",
     "analytic_moments",
     "inner_product",
-    "quadrature_energy",
     "quadrature_moments",
     "OscillatorProfile",
     "evaluate_profile",
@@ -97,7 +93,6 @@ __all__ = [
     "PhaseSpacePoint",
     "StateSpec",
     "WaveFunctionGrid",
-    "alpha_from_phase_space",
     "classical_trajectory",
     "dsn_wavefunction",
     "lower",
@@ -108,7 +103,6 @@ __all__ = [
     "StaticCoefficients",
     "classical_equation_residual",
     "crosscheck_static",
-    "nieto_AB",
     "nieto_F",
     "nieto_t0_identity_residuals",
     "nieto_time_identity_residuals",

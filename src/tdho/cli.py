@@ -40,11 +40,19 @@ from .mode_solver import (
     apply_squeeze,
     evolve_mode,
     polar_decompose,
+    squeezed_phase,
     wkb_mode,
 )
 from .observables import analytic_moments, inner_product, quadrature_moments
 from .profiles import OscillatorProfile, finite_number, parse_profile, profile_hash
-from .states import _GRID_POINTS_MAX, StateSpec, comoving_hermite, dsn_wavefunction, spatial_grid
+from .states import (
+    _GRID_POINTS_MAX,
+    WRONSKIAN_GUARD,
+    StateSpec,
+    comoving_hermite,
+    dsn_wavefunction,
+    spatial_grid,
+)
 from .verification import (
     classical_equation_residual,
     crosscheck_static,
@@ -61,6 +69,11 @@ CLASSICAL_TOL = 1e-6
 NIETO_T0_TOL = 1e-12
 NIETO_TIME_TOL = 1e-10
 CROSSCHECK_TOL = 1e-10
+
+#: largest squeeze amplitude the loader accepts (about 11.1): beyond it the
+#: rounding of cosh^2 r alone pushes |W - i| of the squeezed mode past the
+#: wave-function guard.
+MAX_SQUEEZE_R = 0.5 * math.log(WRONSKIAN_GUARD / sys.float_info.epsilon)
 
 
 @dataclass(frozen=True)
@@ -198,6 +211,11 @@ def load_scenario(path) -> Scenario:
             )
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
+    r_max = max(spec.squeeze.r for spec in states)
+    if r_max > MAX_SQUEEZE_R:
+        raise ScenarioError(
+            f"states: largest r {r_max:.6g} above the squeeze ceiling of {MAX_SQUEEZE_R:.4g}"
+        )
 
     return Scenario(
         profile=profile,
@@ -219,16 +237,13 @@ def load_scenario(path) -> Scenario:
 
 def _path_stride(scenario: Scenario, coarse: np.ndarray) -> int:
     """Sub-steps per time-grid step of the base path: at least 4 and enough
-    to unwrap the phase of the most squeezed state at the largest frequency
-    on the time grid.  A path of more than MAX_PATH_ROWS rows is refused with
-    a ScenarioError before anything of its size is allocated."""
+    to unwrap the base phase at the largest frequency on the time grid
+    (squeezed phases follow from it in closed form, so r does not enter).
+    A path of more than MAX_PATH_ROWS rows is refused with a ScenarioError
+    before anything of its size is allocated."""
     span = scenario.t_end - scenario.t_start
     omega_max = float(np.sqrt(np.max(scenario.profile.omega_sq(coarse))))
-    r_max = max((s.squeeze.r for s in scenario.states), default=0.0)
-    try:
-        needed = span * 16.0 * max(omega_max, 0.25) * math.exp(2.0 * r_max)
-    except OverflowError:  # e^{2r} beyond the float range
-        needed = math.inf
+    needed = span * 16.0 * max(omega_max, 0.25)
     rows = needed
     if needed <= MAX_PATH_ROWS:
         stride = max(4, math.ceil(needed / (scenario.samples - 1)))
@@ -237,8 +252,7 @@ def _path_stride(scenario: Scenario, coarse: np.ndarray) -> int:
             return stride
     raise ScenarioError(
         f"time_grid: the mode path needs {rows:.3g} rows (span {span:.6g}, largest omega "
-        f"{omega_max:.3g}, largest r {r_max:.6g}, {scenario.samples} samples), above the "
-        f"ceiling of {MAX_PATH_ROWS}"
+        f"{omega_max:.3g}, {scenario.samples} samples), above the ceiling of {MAX_PATH_ROWS}"
     )
 
 
@@ -247,8 +261,8 @@ def _base_trajectory(scenario: Scenario, at=None):
 
     Each time-grid step is split into ``_path_stride`` equal sub-steps, so
     row ``j * stride`` is time-grid sample j bit for bit.  Returns the
-    trajectory and the rows of the time grid, or with ``at`` the row of
-    that one time, merged into the path.
+    trajectory, its unwrapped phase and the rows of the time grid, or with
+    ``at`` the row of that one time, merged into the path.
     """
     coarse = scenario.time_grid()
     stride = _path_stride(scenario, coarse)
@@ -260,7 +274,9 @@ def _base_trajectory(scenario: Scenario, at=None):
         path = np.union1d(path, [at])
         rows = np.searchsorted(path, [at])
     initial = wkb_mode(scenario.profile, scenario.t_start)
-    return evolve_mode(scenario.profile, initial, path, rel_tol=scenario.ode_rel_tol), rows
+    base = evolve_mode(scenario.profile, initial, path, rel_tol=scenario.ode_rel_tol)
+    _, theta = polar_decompose(base)
+    return base, theta, rows
 
 
 def _wavefunctions(scenario: Scenario, specs: list, point, theta: float, hermite=None) -> list:
@@ -314,14 +330,18 @@ def _state_label(spec: StateSpec) -> dict:
 
 # ---------------------------------------------------------------- commands
 def _cmd_evolve(scenario: Scenario, args, outdir: Path) -> int:
-    base, rows = _base_trajectory(scenario)
+    base, theta, rows = _base_trajectory(scenario)
     if not scenario.write_csv:
         print(f"evolve: {1 + len(scenario.states)} trajectories, CSV output disabled")
         return 0
-    io.write_trajectory_csv(base, outdir / "trajectory_base.csv", indices=rows)
+    io.write_trajectory_csv(base, outdir / "trajectory_base.csv", theta, indices=rows)
     for i, spec in enumerate(scenario.states):
-        squeezed = apply_squeeze(base, spec.squeeze)
-        io.write_trajectory_csv(squeezed, outdir / f"trajectory_state_{i:03d}.csv", indices=rows)
+        io.write_trajectory_csv(
+            apply_squeeze(base, spec.squeeze),
+            outdir / f"trajectory_state_{i:03d}.csv",
+            squeezed_phase(theta, spec.squeeze),
+            indices=rows,
+        )
     print(f"evolve: wrote {1 + len(scenario.states)} trajectory files to {outdir}")
     return 0
 
@@ -334,10 +354,10 @@ def _cmd_wavefunction(scenario: Scenario, args, outdir: Path) -> int:
     if not scenario.t_start <= t <= scenario.t_end:
         raise ScenarioError(f"--t {t} outside the scenario window")
     spec = scenario.states[index]
-    base, (k,) = _base_trajectory(scenario, at=t)
+    base, theta, (k,) = _base_trajectory(scenario, at=t)
     squeezed = apply_squeeze(base, spec.squeeze)
-    _, theta = polar_decompose(squeezed)
-    (grid,) = _wavefunctions(scenario, [spec], squeezed.point(k), float(theta[k]))
+    theta_nu = squeezed_phase(theta, spec.squeeze)
+    (grid,) = _wavefunctions(scenario, [spec], squeezed.point(k), float(theta_nu[k]))
     if not scenario.write_csv:
         print(f"wavefunction: state {index} at t={io.fmt(t)}, CSV output disabled")
         return 0
@@ -348,11 +368,11 @@ def _cmd_wavefunction(scenario: Scenario, args, outdir: Path) -> int:
     return 0
 
 
-def _moment_records(scenario: Scenario, base, rows, spec: StateSpec) -> list:
+def _moment_records(scenario: Scenario, base, theta, rows, spec: StateSpec) -> list:
     squeezed = apply_squeeze(base, spec.squeeze)
-    _, theta = polar_decompose(squeezed)
+    theta_nu = squeezed_phase(theta, spec.squeeze)
     records = []
-    for k, point, grid in _state_rows(scenario, spec, squeezed, theta, rows):
+    for k, point, grid in _state_rows(scenario, spec, squeezed, theta_nu, rows):
         analytic, quad, diff = _moments(scenario, spec, point, grid)
         records.append(
             {
@@ -367,9 +387,11 @@ def _moment_records(scenario: Scenario, base, rows, spec: StateSpec) -> list:
 
 
 def _cmd_moments(scenario: Scenario, args, outdir: Path) -> int:
-    base, rows = _base_trajectory(scenario)
+    base, theta, rows = _base_trajectory(scenario)
     records = [
-        rec for spec in scenario.states for rec in _moment_records(scenario, base, rows, spec)
+        rec
+        for spec in scenario.states
+        for rec in _moment_records(scenario, base, theta, rows, spec)
     ]
     worst = max(rec["max_abs_diff"] for rec in records)
     report = {
@@ -398,7 +420,7 @@ def _verify_checks(scenario: Scenario) -> list:
             }
         )
 
-    base, rows = _base_trajectory(scenario)
+    base, base_theta, rows = _base_trajectory(scenario)
     add("wronskian_drift_base", {"profile": scenario.profile.kind}, base.max_wronskian_drift, WRONSKIAN_TOL)
     probe_rows = rows[:: max(1, (len(rows) - 1) // 4)]
     t_mid = 0.5 * (scenario.t_start + scenario.t_end)
@@ -410,7 +432,7 @@ def _verify_checks(scenario: Scenario) -> list:
     groups: dict = {}
     for idx, spec in enumerate(scenario.states):
         squeezed = apply_squeeze(base, spec.squeeze)
-        _, theta = polar_decompose(squeezed)
+        theta = squeezed_phase(base_theta, spec.squeeze)
         _, _, members = groups.setdefault((spec.squeeze, spec.alpha), (squeezed, theta, []))
         members.append((idx, spec))
         add("wronskian_drift_squeezed", {"state": idx}, squeezed.max_wronskian_drift, WRONSKIAN_TOL)

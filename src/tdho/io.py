@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mode_solver import ModeTrajectory, polar_decompose, wronskian
+from .mode_solver import ModeTrajectory, wronskian
 from .states import WaveFunctionGrid
 
 
@@ -21,18 +21,19 @@ def fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def write_trajectory_csv(traj: ModeTrajectory, path, indices=None) -> None:
+def write_trajectory_csv(traj: ModeTrajectory, path, theta, indices=None) -> None:
     """Columns: t, Re u, Im u, Re u', Im u', |W - i|, rho, Theta.
 
-    ``indices`` selects the rows to write (default: all samples); the phase
-    unwrap always runs over the full trajectory so row selection cannot
-    change branch continuity.
+    ``theta`` is the trajectory's unwrapped phase, taken from the caller
+    (polar_decompose of a base mode, squeezed_phase of a squeezed one) so
+    that row selection cannot change branch continuity.  ``indices`` selects
+    the rows to write (default: all samples).
     """
-    rho, theta = polar_decompose(traj)
     drift = np.abs(wronskian(traj) - 1j)
     selected = slice(None) if indices is None else indices
     columns = (traj.t, traj.u.real, traj.u.imag, traj.u_dot.real, traj.u_dot.imag)
-    rows = np.column_stack([c[selected] for c in columns + (drift, rho, theta)]).tolist()
+    columns += (drift, np.abs(traj.u), theta)
+    rows = np.column_stack([c[selected] for c in columns]).tolist()
     lines = ["t,re_u,im_u,re_u_dot,im_u_dot,abs_wronskian_minus_i,rho,theta"]
     lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

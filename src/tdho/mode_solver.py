@@ -459,6 +459,24 @@ def polar_decompose(mode):
     return rho, float(-np.angle(mode.u))
 
 
+def squeezed_phase(theta, sq: SqueezeParams) -> np.ndarray:
+    """Unwrapped phase Theta_nu of the squeezed mode from the base phase Theta.
+
+    With u = rho e^{-i Theta}, the squeezed mode is
+    mu u + nu u* = rho e^{-i Theta} (cosh r + e^{-i phi} sinh r e^{2 i Theta}),
+    so Theta_nu = Theta - arg(cosh r + e^{-i phi} sinh r e^{2 i Theta}).  The
+    bracket's real part is at least cosh r - sinh r > 0, so its principal arg
+    stays inside (-pi/2, pi/2) and is continuous wherever Theta is: only the
+    base phase needs unwrapping, however strong the squeeze.  The result is
+    shifted by whole turns so that its first sample is the principal value,
+    as polar_decompose of the squeezed trajectory gives it.
+    """
+    theta = np.asarray(theta, dtype=float)
+    theta_nu = theta - np.angle(sq.mu + sq.nu * np.exp(2j * theta))
+    turns = math.floor((theta_nu.flat[0] + math.pi) / (2.0 * math.pi))
+    return theta_nu - 2.0 * math.pi * turns
+
+
 def diagonalization_residual(point: ModePoint, omega_sq: float) -> float:
     """|u'^2 + omega^2 u^2| / (|u'|^2 + omega^2 |u|^2), in [0, 1].
 

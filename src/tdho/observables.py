@@ -1,4 +1,4 @@
-"""Expectation values: quadrature-based and closed-form moments, energies.
+"""Expectation values: quadrature-based and closed-form moments.
 
 Quadrature uses the composite trapezoid rule on the uniform grid, which is
 exponentially accurate for smooth integrands that decay below tolerance at
@@ -112,23 +112,3 @@ def analytic_moments(spec: StateSpec, mode_nu: ModePoint) -> MomentSet:
     return MomentSet.from_means(
         center.x_c, center.p_c, var_x + center.x_c**2, var_p + center.p_c**2
     )
-
-
-def analytic_energy(n: int, mode: ModePoint, omega_sq: float, hbar: float) -> float:
-    """Number-state energy <H> = hbar m (|u'|^2 + omega^2 |u|^2)(n + 1/2).
-
-    Requires the Wronskian normalization; reduces to hbar omega0 (n + 1/2)
-    on the static mode and picks up cosh(2r) under squeezing.
-    """
-    return float(
-        hbar
-        * mode.mass
-        * (abs(mode.u_dot) ** 2 + omega_sq * abs(mode.u) ** 2)
-        * (n + 0.5)
-    )
-
-
-def quadrature_energy(psi: WaveFunctionGrid, mass: float, omega_sq: float, hbar: float) -> float:
-    """<p^2/2m + m omega^2 x^2 / 2> by quadrature; ground truth for energies."""
-    moments = quadrature_moments(psi, hbar)
-    return moments.mean_p2 / (2.0 * mass) + 0.5 * mass * omega_sq * moments.mean_x2

@@ -25,8 +25,10 @@ moments loop and verify's probe rows share one table per state this way.
 
 Branch conventions: Theta defaults to the principal value of -arg(u) for a
 single point; callers tracking a trajectory pass the continuously unwrapped
-Theta instead (see mode_solver.polar_decompose).  Cross-checks against the
-static closed forms are phase-sensitive and pass under these choices.
+Theta instead.  The base mode is unwrapped by mode_solver.polar_decompose,
+and each squeezed phase follows from it in closed form through
+mode_solver.squeezed_phase.  Cross-checks against the static closed forms
+are phase-sensitive and pass under these choices.
 """
 
 from __future__ import annotations
@@ -159,19 +161,6 @@ def classical_trajectory(alpha: complex, mode, hbar: float):
     x_c = 2.0 * root * (alpha * mode.u).real
     p_c = 2.0 * root * mode.mass * (alpha * mode.u_dot).real
     return PhaseSpacePoint(x_c=float(x_c), p_c=float(p_c))
-
-
-def alpha_from_phase_space(point: PhaseSpacePoint, mode: ModePoint, hbar: float) -> complex:
-    """Invert the classical center: alpha = (i/sqrt(hbar))(u* p_c - m u'* x_c).
-
-    Exact inverse of classical_trajectory whenever the mode satisfies the
-    Wronskian normalization.
-    """
-    return complex(
-        1j
-        / math.sqrt(hbar)
-        * (np.conj(mode.u) * point.p_c - mode.mass * np.conj(mode.u_dot) * point.x_c)
-    )
 
 
 def _mode_theta(mode: ModePoint, theta: float | None) -> float:

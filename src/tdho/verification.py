@@ -5,15 +5,16 @@ time-dependent Schroedinger equation directly: wave functions built
 independently at t-dt, t, t+dt are combined into the centered residual
 i hbar dPsi/dt - H Psi, which must vanish at second order in dt.  One fresh
 mode solve from the trajectory's first sample (no propagator), dense enough
-for the most squeezed state, serves every state: each squeezes and unwraps
-it on its own.  The second checks that the displaced states are centred on
-classical trajectories: the centre (x_c, p_c) taken from the squeezed mode
-is compared at every sample with an independent LSODA solve of
-x' = p/m, p' = -m omega^2 x started from its first value.  The third
-specializes the pipeline to the static oscillator, where every quantity has
-a closed form: the Gaussian-envelope coefficients A, B and the phase Theta
-admit trigonometric expressions, and at m0 = omega0 = hbar = 1 they reduce
-to Nieto's displaced-squeezed-state coefficient set (F2, F3, F4, A, B).
+to unwrap its phase, serves every state: each squeezes it and takes its
+phase in closed form from that one unwrap.  The second checks that the
+displaced states are centred on classical trajectories: the centre
+(x_c, p_c) taken from the squeezed mode is compared at every sample with an
+independent LSODA solve of x' = p/m, p' = -m omega^2 x started from its
+first value.  The third specializes the pipeline to the static oscillator,
+where every quantity has a closed form: the Gaussian-envelope coefficients
+A, B and the phase Theta admit trigonometric expressions, and at
+m0 = omega0 = hbar = 1 they reduce to Nieto's displaced-squeezed-state
+coefficient set (F2, F3, F4) and evolution factors (A, B).
 Square roots of the time-evolved identities are branch-tracked by
 continuity from their principal values at t = 0, mirroring the Theta
 unwrap; the identities are branch-sensitive.
@@ -29,7 +30,7 @@ from numpy.polynomial import hermite as hermite_poly
 from scipy.integrate import odeint
 
 from ._numerics import continuous_sqrt, second_derivative, trapezoid
-from .errors import GridError, ModeSolverError, PhaseUnwrapError, ScenarioError
+from .errors import GridError, ModeSolverError, ScenarioError
 from .mode_solver import (
     MAX_PATH_ROWS,
     ModeTrajectory,
@@ -37,6 +38,7 @@ from .mode_solver import (
     apply_squeeze,
     evolve_mode,
     polar_decompose,
+    squeezed_phase,
     static_mode,
 )
 from .profiles import OscillatorProfile, evaluate_profile
@@ -65,14 +67,11 @@ class StaticCoefficients:
 
 @dataclass(frozen=True)
 class NietoCoefficients:
-    """Static-oscillator coefficient set (F2, F3, F4) and, when a time is
-    involved, the evolution factors (A, B)."""
+    """Static-oscillator displaced-squeezed-state coefficient set (F2, F3, F4)."""
 
     F2: complex
     F3: complex
     F4: float
-    A: complex | None = None
-    B: complex | None = None
 
 
 def _static_mode_nu(sq: SqueezeParams, m0: float, omega0: float, t):
@@ -123,18 +122,6 @@ def nieto_F(sq: SqueezeParams) -> NietoCoefficients:
     return NietoCoefficients(F2=complex(f2), F3=complex(f3), F4=float(f4))
 
 
-def nieto_AB(sq: SqueezeParams, t: float) -> NietoCoefficients:
-    """Evolution factors A, B of the static-oscillator closed form.
-
-    Convention m0 = omega0 = hbar = 1.  B = cos t + i F2 sin t and
-    A = (F4^2 B - 2 i sin t) / (F4^2 B); A stays on the unit circle.
-    """
-    f = nieto_F(sq)
-    b = math.cos(t) + 1j * f.F2 * math.sin(t)
-    a = (f.F4**2 * b - 2j * math.sin(t)) / (f.F4**2 * b)
-    return NietoCoefficients(F2=f.F2, F3=f.F3, F4=f.F4, A=complex(a), B=complex(b))
-
-
 def nieto_t0_identity_residuals(sq: SqueezeParams) -> dict:
     """Residuals of the t = 0 identities A_nu(0) F4 = 1, B_nu(0) = F2 / 2,
     e^{-i theta_nu(0)} = sqrt(F3), at m0 = omega0 = hbar = 1."""
@@ -158,7 +145,9 @@ def nieto_time_identity_residuals(sq: SqueezeParams, t: float) -> dict:
     B_nu = (F2 cos t + i sin t)/(2 (cos t + i F2 sin t)), and
     e^{-i theta_nu} = sqrt(F3 A), with branch-tracked square roots.
 
-    Convention m0 = omega0 = hbar = 1.  The branches of sqrt(A) and
+    Convention m0 = omega0 = hbar = 1, with the evolution factors
+    B = cos t + i F2 sin t and A = (F4^2 B - 2 i sin t) / (F4^2 B), which
+    stays on the unit circle.  The branches of sqrt(A) and
     sqrt(F3 A) follow continuity in t from their principal values at t = 0.
     """
     f = nieto_F(sq)
@@ -279,10 +268,11 @@ def schrodinger_residual(
 
     The time derivative is the centered difference of wave functions built
     independently at t - dt and t + dt from one fresh mode solve started at
-    the trajectory's first sample, sampled densely enough to unwrap the
-    phase of the most squeezed state; H Psi uses the 8th-order spatial
-    stencil.  Returns ||i hbar dPsi/dt - H Psi|| / ||H Psi|| in L2 on the
-    grid for each of ``specs``, in order.  A mode path of more than
+    the trajectory's first sample, sampled densely enough to unwrap its
+    phase; each state takes its squeezed phase from that one unwrap
+    (squeezed_phase).  H Psi uses the 8th-order spatial stencil.  Returns
+    ||i hbar dPsi/dt - H Psi|| / ||H Psi|| in L2 on the grid for each of
+    ``specs``, in order.  A mode path of more than
     MAX_PATH_ROWS rows is refused with ScenarioError before it is built.
     """
     if not 0.0 < dt <= 1e-3:
@@ -292,39 +282,34 @@ def schrodinger_residual(
         raise ValueError(f"t +- dt = [{t - dt}, {t + dt}] not inside span [{t0}, {t_end}]")
     span_scan = np.linspace(t0, max(t + dt, t0 + 1e-9), 512)
     omega_max = float(np.sqrt(np.max(profile.omega_sq(span_scan))))
+    # dt (n + 1) omega e^{2r} <= 0.25 in log form: e^{2r} overflows above r ~ 355
+    limit = math.log(0.25) - math.log(dt) - math.log(max(omega_max, 1e-12))
     for spec in specs:
-        if dt * (spec.n + 1.0) * max(omega_max, 1e-12) * math.exp(2.0 * spec.squeeze.r) > 0.25:
+        if math.log(spec.n + 1.0) + 2.0 * spec.squeeze.r > limit:
             raise GridError(
                 f"time step dt={dt} too large for n={spec.n}, omega~{omega_max:.3g}, "
                 f"r={spec.squeeze.r} (phase advance above 0.25 rad)"
             )
 
     eval_times = np.array([t - dt, t, t + dt])
-    r_max = max(spec.squeeze.r for spec in specs)
-    needed = (t + dt - t0) * 16.0 * max(omega_max, 0.25) * math.exp(2.0 * r_max)
+    needed = (t + dt - t0) * 16.0 * max(omega_max, 0.25)
     # capped so that an overflowing estimate still converts; refused below
     density = max(256, int(math.ceil(min(MAX_PATH_ROWS, needed))) + 1)
-    for attempt in range(3):
-        if density > MAX_PATH_ROWS:
-            raise ScenarioError(
-                f"schrodinger_residual: the mode path to t={t + dt:.6g} needs more than "
-                f"{MAX_PATH_ROWS} rows (largest omega {omega_max:.3g}, largest r {r_max:.6g})"
-            )
-        path = np.union1d(np.linspace(t0, t + dt, density), eval_times)
-        base = evolve_mode(profile, traj.point(0), path, rel_tol=RESIDUAL_ODE_REL_TOL)
-        modes = [apply_squeeze(base, spec.squeeze) for spec in specs]
-        try:
-            thetas = [polar_decompose(mode_nu)[1] for mode_nu in modes]
-            break
-        except PhaseUnwrapError:
-            if attempt == 2:
-                raise
-            density *= 4
+    if density > MAX_PATH_ROWS:
+        raise ScenarioError(
+            f"schrodinger_residual: the mode path to t={t + dt:.6g} needs more than "
+            f"{MAX_PATH_ROWS} rows (largest omega {omega_max:.3g})"
+        )
+    path = np.union1d(np.linspace(t0, t + dt, density), eval_times)
+    base = evolve_mode(profile, traj.point(0), path, rel_tol=RESIDUAL_ODE_REL_TOL)
+    _, theta = polar_decompose(base)
 
     indices = [int(np.argmin(np.abs(path - s))) for s in eval_times]
     mass, omega_sq = evaluate_profile(profile, t)
     residuals = []
-    for spec, mode_nu, theta_arr in zip(specs, modes, thetas):
+    for spec in specs:
+        mode_nu = apply_squeeze(base, spec.squeeze)
+        theta_arr = squeezed_phase(theta, spec.squeeze)
         points = [mode_nu.point(i) for i in indices]
         x = spatial_grid(points[1], spec.hbar, n=spec.n, alpha=spec.alpha)
         psis = [

@@ -2,6 +2,7 @@ import json
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tdho import cli, states, verification
@@ -62,6 +63,7 @@ def test_load_shipped_scenarios():
         ({"hbar": 10**400}, "hbar"),
         ({"profile": {"kind": "static", "m0": 10**400, "omega0": 1}}, "profile.m0"),
         ({"time_grid": {"t_start": 0, "t_end": 1, "samples": MAX_PATH_ROWS + 1}}, "samples"),
+        ({"states": [{"n": 0}, {"n": 1, "r": 30}]}, "largest r 30 above the squeeze ceiling"),
     ],
 )
 def test_scenario_validation_errors(tmp_path, overrides, message):
@@ -91,16 +93,34 @@ def test_validation_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "overrides, cause",
     [
+        # the mode path does not depend on r: the loader's squeeze ceiling
+        # refuses these before any path is sized
         ({"states": [{"n": 0, "r": 30}]}, "largest r 30"),
         ({"states": [{"n": 0, "r": 400}]}, "largest r 400"),  # e^{2r} overflows
         ({"time_grid": {"t_start": 0, "t_end": 1e9, "samples": 7}}, "span 1e+09"),
         ({"profile": {"kind": "static", "m0": 1, "omega0": 1e6}}, "largest omega 1e+06"),
+        # the stride rounds up to 4 sub-steps, past the ceiling
+        ({"time_grid": {"t_start": 0, "t_end": 3, "samples": MAX_PATH_ROWS}}, "262144 samples"),
+        (
+            {
+                "profile": {
+                    "kind": "tanh_quench",
+                    "m0": 1,
+                    "omega_initial": 1,
+                    "omega_final": 1e5,
+                    "t_center": 1.5,
+                    "width": 0.3,
+                }
+            },
+            "largest omega 1e+05",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["evolve", "verify"])
 def test_path_ceiling_refused_unbuilt(tmp_path, capsys, monkeypatch, overrides, cause, command):
-    # the path's row count is worked out from the scenario before anything
-    # of that size is allocated, and the request exits 1 naming the cause
+    # the path's row count (and the squeeze ceiling) is checked from the
+    # scenario before anything of that size is allocated, and the request
+    # exits 1 naming the cause
     def no_solve(*args, **kwargs):
         raise AssertionError("evolve_mode reached")
 
@@ -284,6 +304,27 @@ def test_evolve_writes_trajectories(tmp_path):
     lines = files[0].read_text().splitlines()
     assert lines[0].startswith("t,re_u,im_u")
     assert len(lines) == 1 + 33  # header + scenario samples
+
+
+def test_evolve_path_independent_of_squeeze(tmp_path, monkeypatch):
+    # squeezed phases follow from the base phase in closed form, so the base
+    # mode is solved on the same path whatever the states' squeeze
+    paths = []
+
+    def recording(profile, initial, t_grid, **kwargs):
+        paths.append(np.asarray(t_grid))
+        return evolve_mode(profile, initial, t_grid, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve_mode", recording)
+    doc = json.loads((SCENARIOS / "quench.json").read_text())
+    for r in (0.0, 1.0, 3.0):
+        for state in doc["states"]:
+            state["r"] = r
+        path = tmp_path / f"quench_r{r}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["evolve", str(path), "--out", str(tmp_path / f"out_r{r}")]) == 0
+    assert len(paths) == 3
+    assert all(np.array_equal(path, paths[0]) for path in paths[1:])
 
 
 @pytest.mark.parametrize("command", ["evolve", "wavefunction"])

@@ -18,6 +18,7 @@ from tdho import (
     diagonalization_residual,
     evolve_mode,
     polar_decompose,
+    squeezed_phase,
     static_mode,
     wkb_mode,
     wronskian,
@@ -343,6 +344,34 @@ def test_polar_decompose_guards_coarse_grid(static_profile):
     traj = evolve_mode(static_profile, static_mode(1, 1, 0.0), t_grid)
     with pytest.raises(PhaseUnwrapError):
         polar_decompose(traj)
+
+
+@pytest.mark.parametrize(
+    "profile_name, t_start, turn",
+    [
+        ("quench_profile", 4.0, 0.0),  # across the quench at t = 5
+        ("sinusoidal_profile", 0.0, 0.0),
+        ("sinusoidal_profile", 0.0, 3.0),  # base phase starting near pi
+    ],
+)
+@pytest.mark.parametrize("r", [0.0, 0.5, 2.0, 5.0])
+def test_squeezed_phase_matches_unwrap(request, profile_name, t_start, turn, r):
+    # the closed form against the numerical unwrap of a squeezed trajectory
+    # sampled densely enough for it: 2^17 rows over two time units keep
+    # its phase steps under 0.7 rad at r = 5
+    profile = request.getfixturevalue(profile_name)
+    start = wkb_mode(profile, t_start)
+    rotation = complex(math.cos(turn), -math.sin(turn))
+    start = ModePoint(start.t, start.u * rotation, start.u_dot * rotation, start.mass)
+    base = evolve_mode(profile, start, np.linspace(t_start, t_start + 2.0, (1 << 17) + 1))
+    _, theta = polar_decompose(base)
+    # both routes round at about eps e^{2r}: the squeezed mode's modulus
+    # dips to e^{-r} of its two terms
+    tol = max(1e-12, 4e-15 * math.exp(2.0 * r))
+    for phi in np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False):
+        sq = SqueezeParams(r, phi)
+        _, expected = polar_decompose(apply_squeeze(base, sq))
+        assert np.max(np.abs(squeezed_phase(theta, sq) - expected)) <= tol
 
 
 # ---------------------------------------------------------------- residual

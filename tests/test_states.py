@@ -3,18 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 from scipy.special import eval_hermite
 
 from tdho import (
     GridError,
-    PhaseSpacePoint,
     SqueezeParams,
     StateSpec,
     apply_squeeze,
-    alpha_from_phase_space,
     classical_trajectory,
     dsn_wavefunction,
     evolve_mode,
@@ -27,7 +23,7 @@ from tdho import (
     wkb_mode,
 )
 from tdho import _numerics, cli
-from tdho.mode_solver import ModePoint, polar_decompose
+from tdho.mode_solver import ModePoint, squeezed_phase
 from tdho.states import comoving_hermite
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -175,29 +171,6 @@ def test_classical_trajectory_frozen_values():
     assert rotated.p_c == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
-def test_alpha_inversion_frozen():
-    point = static_mode(1, 1, 0.0)
-    assert alpha_from_phase_space(PhaseSpacePoint(0.0, 0.0), point, 1.0) == 0j
-    alpha = alpha_from_phase_space(PhaseSpacePoint(math.sqrt(2.0), 0.0), point, 1.0)
-    assert alpha == pytest.approx(1.0 + 0j, abs=1e-15)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    x_c=st.floats(min_value=-10, max_value=10),
-    p_c=st.floats(min_value=-10, max_value=10),
-    r=st.floats(min_value=0, max_value=2),
-    phi=st.floats(min_value=0, max_value=2 * math.pi, exclude_max=True),
-    t=st.floats(min_value=0, max_value=10),
-)
-def test_alpha_round_trip(x_c, p_c, r, phi, t):
-    point = apply_squeeze(static_mode(1, 1, t), SqueezeParams(r, phi))
-    alpha = alpha_from_phase_space(PhaseSpacePoint(x_c, p_c), point, 1.0)
-    back = classical_trajectory(alpha, point, 1.0)
-    assert back.x_c == pytest.approx(x_c, abs=1e-12)
-    assert back.p_c == pytest.approx(p_c, abs=1e-12)
-
-
 # ---------------------------------------------------------- displaced states
 def test_dsn_reduces_to_number_state():
     sq = SqueezeParams(0.7, 1.1)
@@ -291,10 +264,10 @@ def test_shared_hermite_table_matches_fresh_wavefunction():
     # every row of every quench state, built from one table per state,
     # agrees with a wave function that evaluates h_n on its own grid
     scenario = cli.load_scenario(SCENARIOS / "quench.json")
-    base, rows = cli._base_trajectory(scenario)
+    base, base_theta, rows = cli._base_trajectory(scenario)
     for spec in scenario.states:
         squeezed = apply_squeeze(base, spec.squeeze)
-        _, theta = polar_decompose(squeezed)
+        theta = squeezed_phase(base_theta, spec.squeeze)
         count = 0
         for k, point, grid in cli._state_rows(scenario, spec, squeezed, theta, rows):
             fresh = dsn_wavefunction(spec, point, grid.x, theta=float(theta[k]))

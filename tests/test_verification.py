@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 from tdho import (
+    GridError,
     ModeTrajectory,
     OscillatorProfile,
     ScenarioError,
@@ -16,7 +17,6 @@ from tdho import (
     crosscheck_static,
     dsn_wavefunction,
     evolve_mode,
-    nieto_AB,
     nieto_F,
     nieto_t0_identity_residuals,
     nieto_time_identity_residuals,
@@ -92,21 +92,6 @@ def test_nieto_t0_identities():
         for phi in np.linspace(0.0, 2 * math.pi, 8, endpoint=False):
             residuals = nieto_t0_identity_residuals(SqueezeParams(r, phi))
             assert max(residuals.values()) <= 1e-12
-
-
-def test_nieto_AB_at_time_zero():
-    ab = nieto_AB(SqueezeParams(0.8, 2.1), 0.0)
-    assert ab.A == pytest.approx(1.0, abs=1e-15)
-    assert ab.B == pytest.approx(1.0, abs=1e-15)
-
-
-def test_nieto_AB_unsqueezed_evolution():
-    # r=0: B = e^{it} and A_nu(t) stays 1 (constant-width coherent motion)
-    sq = SqueezeParams(0.0, 0.0)
-    for t in (0.4, 1.7, 5.9):
-        ab = nieto_AB(sq, t)
-        assert ab.B == pytest.approx(complex(math.cos(t), math.sin(t)), abs=1e-14)
-        assert static_coefficients(sq, 1, 1, 1, t).A_nu == pytest.approx(1.0, abs=1e-14)
 
 
 def test_nieto_time_identities_random_sweep(rng):
@@ -224,6 +209,15 @@ def test_residual_rejects_large_dt(quench_profile):
     spec = StateSpec(n=0)
     with pytest.raises(ValueError, match="dt"):
         schrodinger_residual([spec], quench_profile, traj, 6.0, 2e-3)
+
+
+def test_residual_rejects_overflowing_squeeze(static_profile):
+    # e^{2r} is beyond the float range at r = 400: the dt guard still
+    # refuses the step instead of overflowing
+    traj = static_mode(1.0, 1.0, np.linspace(0.0, 2.0, 9))
+    spec = StateSpec(n=0, squeeze=SqueezeParams(400.0, 0.0))
+    with pytest.raises(GridError, match="too large"):
+        schrodinger_residual([spec], static_profile, traj, 1.0, 1e-4)
 
 
 def test_residual_path_ceiling_refused_unbuilt(monkeypatch):
