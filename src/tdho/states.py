@@ -21,7 +21,9 @@ it is linspace(-K, K, N)/sqrt(2) with K = k sqrt(2n+1) + 4 at every time.
 So h_n(xi) does not depend on t.  comoving_hermite builds it once per
 state, and dsn_wavefunction takes it as ``hermite``; only the phase and the
 prefactor (sqrt(2 hbar) rho)^{-1/2} are then evaluated per time.  The CLI's
-moments loop and verify's probe rows share one table per state this way.
+moments loop and verify's probe rows share one table per state this way,
+and verification.crosscheck_static's sweep of a state over its times shares
+one per grid size (its grids size themselves from rho).
 
 Branch conventions: Theta defaults to the principal value of -arg(u) for a
 single point; callers tracking a trajectory pass the continuously unwrapped

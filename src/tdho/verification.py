@@ -14,10 +14,17 @@ first value.  The third specializes the pipeline to the static oscillator,
 where every quantity has a closed form: the Gaussian-envelope coefficients
 A, B and the phase Theta admit trigonometric expressions, and at
 m0 = omega0 = hbar = 1 they reduce to Nieto's displaced-squeezed-state
-coefficient set (F2, F3, F4) and evolution factors (A, B).
-Square roots of the time-evolved identities are branch-tracked by
-continuity from their principal values at t = 0, mirroring the Theta
-unwrap; the identities are branch-sensitive.
+coefficient set (F2, F3, F4) and evolution factors (A, B).  These checks
+sweep one state over a list of times.  crosscheck_static samples the
+squeezed static mode once from t = 0 through the last time, unwraps it
+once and reads each time's row; one comoving_hermite table per grid size
+serves the pipeline's wave function at every time.  The square roots of
+the time-evolved identities are branch-tracked by continuity along one path
+from their principal values at t = 0, mirroring the Theta unwrap; the
+identities are branch-sensitive.  A squeezed static phase turns at up to
+omega0 e^{2r}, so both paths take 6 t_max omega0 e^{2r} samples: that count
+is worked out in log form first, and a path of more than MAX_PATH_ROWS rows
+is refused with ScenarioError before it is built.
 """
 
 from __future__ import annotations
@@ -42,7 +49,13 @@ from .mode_solver import (
     static_mode,
 )
 from .profiles import OscillatorProfile, evaluate_profile
-from .states import StateSpec, classical_trajectory, dsn_wavefunction, spatial_grid
+from .states import (
+    StateSpec,
+    classical_trajectory,
+    comoving_hermite,
+    dsn_wavefunction,
+    spatial_grid,
+)
 
 #: relative tolerance of the fresh mode solves behind schrodinger_residual.
 RESIDUAL_ODE_REL_TOL = 1e-11
@@ -134,39 +147,63 @@ def nieto_t0_identity_residuals(sq: SqueezeParams) -> dict:
     }
 
 
-def _branch_grid(sq: SqueezeParams, t: float) -> np.ndarray:
-    # the phase of A advances at up to 2 e^{2r}; keep steps well under pi
-    count = max(64, int(math.ceil(abs(t) * 6.0 * math.exp(2.0 * sq.r))) + 1)
-    return np.linspace(0.0, t, count)
+def _static_path(times, rate: float, r: float, what: str):
+    """Path from t = 0 through the largest of ``times``, merged with them,
+    and the row of each time on it: max(64, 6 t_max rate e^{2r} + 1)
+    uniform samples, refused above MAX_PATH_ROWS before they are built."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError(f"{what}: times must be a non-empty list")
+    if not np.all(times >= 0):
+        raise ValueError(f"{what}: times must be >= 0, got {times.min()}")
+    t_max = float(times.max())
+    # 6 t_max rate e^{2r} in log form: e^{2r} overflows above r ~ 355
+    log_rows = math.log(6.0 * t_max * rate) + 2.0 * r if t_max > 0 else -math.inf
+    if log_rows > math.log(MAX_PATH_ROWS - 1):
+        rows = math.exp(log_rows) + 1.0 if log_rows < 709.0 else math.inf
+        raise ScenarioError(
+            f"{what}: the squeezed static path to t_max={t_max:.6g} needs {rows:.3g} rows "
+            f"(r {r:.6g}), above the ceiling of {MAX_PATH_ROWS}"
+        )
+    count = max(64, int(math.ceil(t_max * rate * 6.0 * math.exp(2.0 * r))) + 1)
+    path = np.union1d(np.linspace(0.0, t_max, count), times)
+    return path, np.searchsorted(path, times)
 
 
-def nieto_time_identity_residuals(sq: SqueezeParams, t: float) -> dict:
+def nieto_time_identity_residuals(sq: SqueezeParams, times) -> list:
     """Residuals of the time-evolved identities A_nu = 1/(F4 B sqrt(A)),
     B_nu = (F2 cos t + i sin t)/(2 (cos t + i F2 sin t)), and
-    e^{-i theta_nu} = sqrt(F3 A), with branch-tracked square roots.
+    e^{-i theta_nu} = sqrt(F3 A), with branch-tracked square roots: one dict
+    per time of ``times`` (all >= 0), in order.
 
     Convention m0 = omega0 = hbar = 1, with the evolution factors
     B = cos t + i F2 sin t and A = (F4^2 B - 2 i sin t) / (F4^2 B), which
-    stays on the unit circle.  The branches of sqrt(A) and
-    sqrt(F3 A) follow continuity in t from their principal values at t = 0.
+    stays on the unit circle.  The branches of sqrt(A) and sqrt(F3 A)
+    follow continuity in t from their principal values at t = 0 along one
+    path through every time; a path of more than MAX_PATH_ROWS rows is
+    refused with ScenarioError before it is built.
     """
+    path, rows = _static_path(times, 1.0, sq.r, "nieto_time_identity_residuals")
     f = nieto_F(sq)
-    ts = _branch_grid(sq, t)
-    b_path = np.cos(ts) + 1j * f.F2 * np.sin(ts)
-    a_path = (f.F4**2 * b_path - 2j * np.sin(ts)) / (f.F4**2 * b_path)
-    sqrt_a = continuous_sqrt(a_path)[-1]
-    sqrt_f3a = continuous_sqrt(f.F3 * a_path)[-1]
-    a, b = a_path[-1], b_path[-1]
-    coeff = static_coefficients(sq, 1.0, 1.0, 1.0, t)
-    return {
-        "A_nu": abs(coeff.A_nu - 1.0 / (f.F4 * b * sqrt_a)),
-        "B_nu": abs(
-            coeff.B_nu
-            - (f.F2 * math.cos(t) + 1j * math.sin(t))
-            / (2.0 * (math.cos(t) + 1j * f.F2 * math.sin(t)))
-        ),
-        "theta": abs(np.exp(-1j * coeff.theta_nu) - sqrt_f3a),
-    }
+    b_path = np.cos(path) + 1j * f.F2 * np.sin(path)
+    a_path = (f.F4**2 * b_path - 2j * np.sin(path)) / (f.F4**2 * b_path)
+    sqrt_a = continuous_sqrt(a_path)[rows]
+    sqrt_f3a = continuous_sqrt(f.F3 * a_path)[rows]
+    residuals = []
+    for t, b, root_a, root_f3a in zip(path[rows].tolist(), b_path[rows], sqrt_a, sqrt_f3a):
+        coeff = static_coefficients(sq, 1.0, 1.0, 1.0, t)
+        residuals.append(
+            {
+                "A_nu": abs(coeff.A_nu - 1.0 / (f.F4 * b * root_a)),
+                "B_nu": abs(
+                    coeff.B_nu
+                    - (f.F2 * math.cos(t) + 1j * math.sin(t))
+                    / (2.0 * (math.cos(t) + 1j * f.F2 * math.sin(t)))
+                ),
+                "theta": abs(np.exp(-1j * coeff.theta_nu) - root_f3a),
+            }
+        )
+    return residuals
 
 
 def static_closed_form_wavefunction(
@@ -202,59 +239,57 @@ def static_closed_form_wavefunction(
         + p_c * x / hbar
         - p_c * x_c / (2.0 * hbar)
     )
-    return (
-        prefactor
-        * np.exp(1j * phase)
-        * hermite_vals
-        * np.exp(-coeff.B_nu * (x - x_c) ** 2)
-    )
+    return prefactor * hermite_vals * np.exp(1j * phase - coeff.B_nu * (x - x_c) ** 2)
 
 
 def crosscheck_static(
     sq: SqueezeParams,
     n: int,
     alpha: complex,
-    t: float,
+    times,
     m0: float = 1.0,
     omega0: float = 1.0,
     hbar: float = 1.0,
-) -> dict:
-    """Compare the general pipeline against the static closed form.
+) -> list:
+    """Compare the general pipeline against the static closed form for one
+    state at each of ``times`` (all >= 0): one report per time, in order.
 
-    Route (a): closed-form static mode sampled from 0 to t, squeezed,
-    polar-decomposed for the unwrapped phase, then dsn_wavefunction.
-    Route (b): static_closed_form_wavefunction.  The report carries the max
-    pointwise amplitude difference plus all coefficient-identity residuals.
+    Route (a): the closed-form static mode sampled once from t = 0 through
+    the last time, with every time on the path, squeezed and
+    polar-decomposed once for the unwrapped phase; then dsn_wavefunction at
+    each time's row, with one comoving_hermite table per grid size that
+    spatial_grid picks along the sweep (its automatic size follows rho).
+    Route (b): static_closed_form_wavefunction.  Each report carries the
+    state, the time and the max pointwise amplitude difference.  A path of
+    more than MAX_PATH_ROWS rows is refused with ScenarioError before it is
+    built.
     """
-    if t < 0:
-        raise ValueError(f"crosscheck time must be >= 0, got {t}")
-    if t == 0:
-        ts = np.array([0.0])
-    else:
-        count = max(64, int(math.ceil(t * omega0 * 6.0 * math.exp(2.0 * sq.r))) + 1)
-        ts = np.linspace(0.0, t, count)
-    base = static_mode(m0, omega0, ts)
-    traj_nu = apply_squeeze(base, sq)
-    _, theta_arr = polar_decompose(traj_nu)
-    point = traj_nu.point(len(traj_nu) - 1)
+    path, rows = _static_path(times, omega0, sq.r, "crosscheck_static")
+    traj_nu = apply_squeeze(static_mode(m0, omega0, path), sq)
+    _, theta = polar_decompose(traj_nu)
     spec = StateSpec(n=n, alpha=alpha, squeeze=sq, hbar=hbar)
-    x = spatial_grid(point, hbar, n=n, alpha=alpha)
-    psi_pipeline = dsn_wavefunction(spec, point, x, theta=float(theta_arr[-1]))
-    psi_closed = static_closed_form_wavefunction(sq, n, alpha, t, x, m0, omega0, hbar)
-    max_diff = float(np.max(np.abs(psi_pipeline.psi - psi_closed)))
-    report = {
-        "r": sq.r,
-        "phi": sq.phi,
-        "n": n,
-        "alpha_re": complex(alpha).real,
-        "alpha_im": complex(alpha).imag,
-        "t": float(t),
-        "max_pointwise_diff": max_diff,
-    }
-    if m0 == 1.0 and omega0 == 1.0 and hbar == 1.0:
-        report["t0_identities"] = nieto_t0_identity_residuals(sq)
-        report["time_identities"] = nieto_time_identity_residuals(sq, t)
-    return report
+    tables = {}
+    reports = []
+    for k in rows.tolist():
+        t = float(path[k])
+        point = traj_nu.point(k)
+        x = spatial_grid(point, hbar, n=n, alpha=alpha)
+        if x.size not in tables:
+            tables[x.size] = comoving_hermite(n, x.size)
+        psi = dsn_wavefunction(spec, point, x, theta=float(theta[k]), hermite=tables[x.size])
+        psi_closed = static_closed_form_wavefunction(sq, n, alpha, t, x, m0, omega0, hbar)
+        reports.append(
+            {
+                "r": sq.r,
+                "phi": sq.phi,
+                "n": n,
+                "alpha_re": complex(alpha).real,
+                "alpha_im": complex(alpha).imag,
+                "t": t,
+                "max_pointwise_diff": float(np.max(np.abs(psi.psi - psi_closed))),
+            }
+        )
+    return reports
 
 
 def schrodinger_residual(

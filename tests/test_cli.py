@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from tdho import cli, states, verification
 from tdho.cli import load_scenario, main
 from tdho.errors import ScenarioError
-from tdho.mode_solver import MAX_PATH_ROWS, evolve_mode
+from tdho.mode_solver import MAX_PATH_ROWS, SqueezeParams, evolve_mode, polar_decompose
 from tdho.states import weighted_hermite
+from tdho.verification import crosscheck_static, nieto_time_identity_residuals
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -138,6 +140,87 @@ def test_path_ceiling_refused_unbuilt(tmp_path, capsys, monkeypatch, overrides, 
     assert peak < 10 * 2**20
 
 
+@pytest.mark.parametrize(
+    "command, tolerances",
+    [
+        ("static-compare", {}),
+        # the residual's dt guard refuses r = 6 at the default dt
+        ("verify", {"residual_dt": 1e-7}),
+    ],
+)
+def test_static_path_ceiling_refused_unbuilt(tmp_path, capsys, command, tolerances):
+    # r = 6 to t = 2 pi: the static cross-check paths would take 6.1e6
+    # samples (1.26 GB of peak memory); their rows are worked out before
+    # allocation and the request exits 1 naming them
+    path = write_scenario(
+        tmp_path,
+        states=[{"n": 0, "r": 6.0}],
+        time_grid={"t_start": 0.0, "t_end": 2 * np.pi, "samples": 5},
+        tolerances=tolerances,
+    )
+    tracemalloc.start()
+    try:
+        code = main([command, path, "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "t_max=6.28319 needs 6.14e+06 rows (r 6)" in err
+    assert f"ceiling of {MAX_PATH_ROWS}" in err
+    assert peak < 10 * 2**20
+
+
+def _scan_times(r, times):
+    # the times of ``times`` whose static paths stay under the ceiling
+    return [t for t in times if 6.0 * t * np.exp(2.0 * r) + 1.0 < MAX_PATH_ROWS]
+
+
+@pytest.mark.parametrize("phi", [0.0, np.pi / 2, np.pi])
+def test_static_tolerances_hold_over_squeeze_scan(phi):
+    # the closed forms' rounding grows with r (2.4e-10 in the pointwise gap
+    # at r = 4, phi = 0, t = pi/2; 1.9e-8 in the time identities at r = 4,
+    # phi = pi, t = 2 pi) while the identities hold exactly.  The gap is
+    # scanned where rho is stationary, 2t - phi = k pi: there it peaks, and
+    # the state's grid stays under its ceiling up to r = 5.
+    turning = [(phi + k * np.pi) / 2 for k in range(5)]
+    for r in np.linspace(0.0, 5.0, 11):
+        sq = SqueezeParams(float(r), phi)
+        times = _scan_times(r, np.linspace(0.0, 2 * np.pi, 129)[1:])
+        worst = max(max(res.values()) for res in nieto_time_identity_residuals(sq, times))
+        assert worst <= cli._squeezed_tol(cli.NIETO_TIME_TOL, r, cli.NIETO_TIME_GROWTH)
+        times = _scan_times(r, [t for t in turning if t > 0])
+        for n in (0, 3):
+            reports = crosscheck_static(sq, n, 0.6 - 0.8j, times)
+            worst = max(report["max_pointwise_diff"] for report in reports)
+            assert worst <= cli._squeezed_tol(cli.CROSSCHECK_TOL, r, cli.CROSSCHECK_GROWTH)
+
+
+@pytest.mark.parametrize("r", np.linspace(0.0, 5.0, 6))
+def test_static_tolerances_catch_relative_error(monkeypatch, r):
+    # an A_nu, or a closed-form amplitude, off by 1e-6 relative still fails
+    # the widened tolerance at the state's narrowest time
+    sq, t = SqueezeParams(float(r), 0.0), np.pi / 2
+    exact = verification.static_coefficients
+    closed_form = verification.static_closed_form_wavefunction
+    monkeypatch.setattr(
+        verification,
+        "static_coefficients",
+        lambda *args: replace(exact(*args), A_nu=exact(*args).A_nu * (1 + 1e-6)),
+    )
+    (residuals,) = nieto_time_identity_residuals(sq, [t])
+    assert residuals["A_nu"] > cli._squeezed_tol(cli.NIETO_TIME_TOL, r, cli.NIETO_TIME_GROWTH)
+    monkeypatch.setattr(verification, "static_coefficients", exact)
+    monkeypatch.setattr(
+        verification,
+        "static_closed_form_wavefunction",
+        lambda *args: closed_form(*args) * (1 + 1e-6),
+    )
+    (report,) = crosscheck_static(sq, 0, 0j, [t])
+    gap = report["max_pointwise_diff"]
+    assert gap > cli._squeezed_tol(cli.CROSSCHECK_TOL, r, cli.CROSSCHECK_GROWTH)
+
+
 # ------------------------------------------------------------ subcommands
 def test_verify_shipped_static_scenario(tmp_path, capsys):
     code = main(["verify", str(SCENARIOS / "static.json"), "--out", str(tmp_path)])
@@ -177,6 +260,28 @@ def test_moments_builds_hermite_once_per_state(tmp_path, monkeypatch):
     monkeypatch.setattr(states, "weighted_hermite", counting)
     assert main(["moments", str(SCENARIOS / "static.json"), "--out", str(tmp_path)]) == 0
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("command", ["verify", "static-compare"])
+def test_nieto_identities_once_per_state(tmp_path, monkeypatch, command):
+    # the t = 0 set and one time sweep per state of the unit static
+    # oscillator, whatever the number of times
+    calls = {"t0": 0, "time": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for module in (cli, verification):
+        t0 = counting("t0", verification.nieto_t0_identity_residuals)
+        monkeypatch.setattr(module, "nieto_t0_identity_residuals", t0)
+        time_set = counting("time", verification.nieto_time_identity_residuals)
+        monkeypatch.setattr(module, "nieto_time_identity_residuals", time_set)
+    assert main([command, str(SCENARIOS / "static.json"), "--out", str(tmp_path)]) == 0
+    assert calls == {"t0": 4, "time": 4}
 
 
 def test_verify_short_window_displaced_state(tmp_path):
@@ -357,6 +462,34 @@ def test_static_compare_report(tmp_path):
     report = json.loads((tmp_path / "static_compare.json").read_text())
     assert report["worst_max_pointwise_diff"] <= 1e-10
     assert len(report["cases"]) == 4 * 33
+    # state-major order, each state's times in order, identities last
+    expected = [(n, float(t)) for n in (0, 1, 3, 2) for t in np.linspace(0, 2 * np.pi, 33)]
+    assert [(case["n"], case["t"]) for case in report["cases"]] == expected
+    assert list(report["cases"][0])[-3:] == [
+        "max_pointwise_diff",
+        "t0_identities",
+        "time_identities",
+    ]
+
+
+def test_static_compare_sweeps_each_state_once(tmp_path, monkeypatch):
+    # one unwrapped path per state serves all 33 times, and one Hermite
+    # table serves each grid size a state's sweep meets
+    decompositions, tables = [], []
+
+    def counting_decompose(mode):
+        decompositions.append(len(mode))
+        return polar_decompose(mode)
+
+    def counting_hermite(n, xi):
+        tables.append((n, len(xi)))
+        return weighted_hermite(n, xi)
+
+    monkeypatch.setattr(verification, "polar_decompose", counting_decompose)
+    monkeypatch.setattr(states, "weighted_hermite", counting_hermite)
+    assert main(["static-compare", str(SCENARIOS / "static.json"), "--out", str(tmp_path)]) == 0
+    assert len(decompositions) == 4
+    assert len(tables) == len(set(tables))
 
 
 def test_wavefunction_deterministic(tmp_path):

@@ -97,22 +97,77 @@ def test_nieto_t0_identities():
 def test_nieto_time_identities_random_sweep(rng):
     for _ in range(30):
         sq = SqueezeParams(rng.uniform(0, 1.5), rng.uniform(0, 2 * math.pi))
-        t = rng.uniform(0.0, 2 * math.pi)
-        residuals = nieto_time_identity_residuals(sq, t)
-        assert max(residuals.values()) <= 1e-10
+        times = np.sort(rng.uniform(0.0, 2 * math.pi, 3))
+        residuals = nieto_time_identity_residuals(sq, times)
+        assert len(residuals) == 3
+        assert max(max(res.values()) for res in residuals) <= 1e-10
 
 
 # ------------------------------------------------------- pipeline crosscheck
 def test_crosscheck_trivial_case():
-    report = crosscheck_static(SqueezeParams(0.0, 0.0), 0, 0j, 0.0)
+    (report,) = crosscheck_static(SqueezeParams(0.0, 0.0), 0, 0j, [0.0])
     assert report["max_pointwise_diff"] <= 1e-12
 
 
 def test_crosscheck_generic_case():
-    report = crosscheck_static(SqueezeParams(0.5, 1.0), 3, 1.0 + 0.5j, 2.7)
+    sq = SqueezeParams(0.5, 1.0)
+    (report,) = crosscheck_static(sq, 3, 1.0 + 0.5j, [2.7])
+    assert report["t"] == 2.7
     assert report["max_pointwise_diff"] <= 1e-10
-    assert max(report["t0_identities"].values()) <= 1e-12
-    assert max(report["time_identities"].values()) <= 1e-10
+    assert max(nieto_t0_identity_residuals(sq).values()) <= 1e-12
+    (time_identities,) = nieto_time_identity_residuals(sq, [2.7])
+    assert max(time_identities.values()) <= 1e-10
+
+
+@pytest.mark.parametrize("m0, omega0, hbar", [(1.0, 1.0, 1.0), (2.0, 1.5, 0.7)])
+def test_static_sweep_matches_single_times(m0, omega0, hbar):
+    # one path, one unwrap and one Hermite table per grid size serve the
+    # whole sweep; each time reads what a call for that time alone reads
+    sq, n, alpha = SqueezeParams(0.8, 2.1), 2, 0.4 - 0.7j
+    times = np.linspace(0.0, 2 * math.pi, 9)
+    sweep = crosscheck_static(sq, n, alpha, times, m0, omega0, hbar)
+    assert [report["t"] for report in sweep] == times.tolist()
+    for t, report in zip(times, sweep):
+        (alone,) = crosscheck_static(sq, n, alpha, [t], m0, omega0, hbar)
+        assert report.keys() == alone.keys()
+        assert abs(report["max_pointwise_diff"] - alone["max_pointwise_diff"]) <= 1e-13
+    for t, identities in zip(times, nieto_time_identity_residuals(sq, times)):
+        (alone,) = nieto_time_identity_residuals(sq, [t])
+        for key, value in identities.items():
+            assert abs(value - alone[key]) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda times: crosscheck_static(SqueezeParams(0.3, 0.0), 1, 0j, times),
+        lambda times: nieto_time_identity_residuals(SqueezeParams(0.3, 0.0), times),
+    ],
+    ids=["crosscheck_static", "nieto_time_identity_residuals"],
+)
+def test_static_sweep_rejects_negative_time(sweep):
+    with pytest.raises(ValueError, match=">= 0"):
+        sweep([0.5, -0.25, 1.0])
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda times: crosscheck_static(SqueezeParams(6.0, 0.0), 0, 0j, times),
+        lambda times: nieto_time_identity_residuals(SqueezeParams(6.0, 0.0), times),
+    ],
+    ids=["crosscheck_static", "nieto_time_identity_residuals"],
+)
+def test_static_sweep_ceiling_refused_unbuilt(sweep):
+    # r = 6 to t = 2 pi asks for 6.1e6 samples: refused before any is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError, match=f"ceiling of {MAX_PATH_ROWS}"):
+            sweep([1.0, 2 * math.pi])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_crosscheck_detects_phase_branch_corruption():
