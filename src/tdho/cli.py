@@ -616,6 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args leaves the parser unchanged
+_PARSER = build_parser()
+
 _COMMANDS = {
     "evolve": _cmd_evolve,
     "wavefunction": _cmd_wavefunction,
@@ -626,7 +629,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
         outdir = Path(args.out) if args.out else Path(scenario.out_dir)

@@ -27,16 +27,17 @@ def write_trajectory_csv(traj: ModeTrajectory, path, theta, indices=None) -> Non
     ``theta`` is the trajectory's unwrapped phase, taken from the caller
     (polar_decompose of a base mode, squeezed_phase of a squeezed one) so
     that row selection cannot change branch continuity.  ``indices`` selects
-    the rows to write (default: all samples).
+    the rows to write, in time order (default: all samples); the Wronskian
+    drift and rho are computed on those rows only.
     """
-    drift = np.abs(wronskian(traj) - 1j)
-    selected = slice(None) if indices is None else indices
+    if indices is not None:
+        traj = ModeTrajectory(*(a[indices] for a in (traj.t, traj.u, traj.u_dot, traj.mass)))
+        theta = np.asarray(theta)[indices]
     columns = (traj.t, traj.u.real, traj.u.imag, traj.u_dot.real, traj.u_dot.imag)
-    columns += (drift, np.abs(traj.u), theta)
-    rows = np.column_stack([c[selected] for c in columns]).tolist()
-    lines = ["t,re_u,im_u,re_u_dot,im_u_dot,abs_wronskian_minus_i,rho,theta"]
-    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    columns += (np.abs(wronskian(traj) - 1j), np.abs(traj.u), theta)
+    text = "t,re_u,im_u,re_u_dot,im_u_dot,abs_wronskian_minus_i,rho,theta\n"
+    text += _rows(np.column_stack(columns))
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def write_wavefunction_csv(grid: WaveFunctionGrid, path) -> None:
@@ -54,14 +55,17 @@ def write_wavefunction_csv(grid: WaveFunctionGrid, path) -> None:
         f"# profile_hash={meta.get('profile_hash', 'none')}",
         "x,re_psi,im_psi,abs2_psi",
     ]
-    lines = header + [
-        ",".join(
-            fmt(v)
-            for v in (grid.x[i], grid.psi[i].real, grid.psi[i].imag, abs(grid.psi[i]) ** 2)
-        )
-        for i in range(grid.x.size)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    abs2 = [abs(c) ** 2 for c in grid.psi.tolist()]  # a pow, not x * x
+    table = np.column_stack((grid.x, grid.psi.real, grid.psi.imag, abs2))
+    text = "\n".join(header) + "\n" + _rows(table)
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _rows(table: np.ndarray) -> str:
+    """CSV lines of a 2-d float table, every value as fmt writes it: one
+    ``%`` call over the row-major values, byte for byte the per-value form."""
+    rows, cols = table.shape
+    return ("%.17g," * (cols - 1) + "%.17g\n") * rows % tuple(table.ravel().tolist())
 
 
 def _encode(obj):

@@ -21,10 +21,14 @@ makes as many right-hand-side evaluations.  Step sizes follow from the
 tolerances alone and no step is shortened to land on an output time, so a
 solution sampled on a fine grid and one sampled on any subset of it agree
 bit for bit.  Output times are read from the 7th-degree dense-output
-polynomial of the step that covers them: each such step keeps only its
-start, its length, its start values and the polynomial's seven coefficients
-per component, and one vectorized pass evaluates every output time after
-the last step.
+polynomial of the step that covers them, and none of that polynomial is
+built in the step loop, which does only what step control needs.  Each
+step that covers output times keeps its start, its length, its start and
+end values and its 13 stage values; after the last step, one NumPy pass
+over all kept steps evaluates the three extra stages, the interpolant's
+seven coefficients per component and every output time, with the loop's
+own operations in its order, so the values are those of a per-step
+evaluation bit for bit.
 
 Wronskian drift of integrated trajectories is monitored and reported but
 never corrected by rescaling; a drifting Wronskian indicates integrator
@@ -202,12 +206,14 @@ def evolve_mode(
     evaluations (kept as ModeTrajectory.rhs_evals); u and u' agree with
     SciPy's to rounding.  The steps depend on the tolerances, not on t_grid,
     so the value at one time does not depend on which other times are
-    requested.  After the last step every time of t_grid is read from the
-    dense-output polynomial of the step that covers it, in one vectorized
-    pass.  The right-hand side reads (m'/m, omega^2) from one scalar
-    ``profile.coefficients(t)`` call per evaluation; a non-positive mass
-    raises ModeSolverError naming the last good time, and a step size below
-    ten units in the last place of t raises ModeSolverError naming the last
+    requested.  After the last step the dense output of every step that
+    covers an output time is built in one vectorized pass, and each time of
+    t_grid is read from its step's polynomial.  The right-hand side reads
+    (m'/m, omega^2) from one scalar ``profile.coefficients(t)`` call per
+    evaluation, in the step loop and in that pass alike; a non-positive
+    mass raises ModeSolverError naming the last good time, a non-finite
+    coefficient in the dense output raises it naming its time, and a step
+    size below ten units in the last place of t raises it naming the last
     accepted time.  The initial point must satisfy the Wronskian
     normalization to 1e-12; drift along the trajectory is reported through
     ModeTrajectory.max_wronskian_drift, never corrected.
@@ -230,15 +236,9 @@ def evolve_mode(
         return ModeTrajectory(
             t_grid, [initial.u], [initial.u_dot], [initial.mass], profile
         )
-    segments, counts, evals = _dop853(
-        profile.coefficients,
-        t_grid.tolist(),
-        complex(initial.u),
-        complex(initial.u_dot),
-        rel_tol,
-        abs_tol,
+    u, u_dot, evals = _dop853(
+        profile.coefficients, t_grid, complex(initial.u), complex(initial.u_dot), rel_tol, abs_tol
     )
-    u, u_dot = _dense_output(segments, counts, t_grid)
     return ModeTrajectory(t_grid, u, u_dot, profile.mass(t_grid), profile, rhs_evals=evals)
 
 
@@ -281,16 +281,20 @@ def _norm(xu: complex, xv: complex, su: float, sv: float) -> float:
     return math.sqrt((ru * ru + rv * rv) + (iu * iu + iv * iv))
 
 
-def _dop853(coefficients, t_out: list, u: complex, v: complex, rtol: float, atol: float):
-    """Step (u, v = u') from t_out[0] to t_out[-1] with DOP853.
+def _dop853(coefficients, t_grid: np.ndarray, u: complex, v: complex, rtol: float, atol: float):
+    """Step (u, v = u') over t_grid with DOP853; u and v at every time of it.
 
-    Every accepted step that covers output times keeps one dense-output
-    segment (t_old, h, u_old, v_old, F_0..F_6 for u, F_0..F_6 for v), and
-    ``counts`` says how many output times each covers; the three extra
-    stages are evaluated only for those steps, as SciPy does for t_eval.
-    Returns the segments, the counts and the number of right-hand-side
-    evaluations.
+    The step loop does only what step control needs: the twelve
+    right-hand-side evaluations of a step, its new point and its E5/E3
+    error estimate.  Every accepted step that covers output times keeps
+    (t, h, u, v, u_new, v_new) and its 13 stage values, and ``counts`` says
+    how many output times each covers.  The dense output of all kept steps
+    is built after the last step (``_dense_output``), inside the same
+    translation of profile failures and overflow into ModeSolverError.
+    Returns u, u' and the number of right-hand-side evaluations, with three
+    extra ones per kept step, as SciPy makes them for t_eval.
     """
+    t_out = t_grid.tolist()
     t, t_bound = t_out[0], t_out[-1]
     last = t  # the last time at which the profile evaluated without error
 
@@ -317,7 +321,7 @@ def _dop853(coefficients, t_out: list, u: complex, v: complex, rtol: float, atol
         h_abs = min(100 * h0, h1, span)
         evals = 2
 
-        segments, counts, nxt = [], [], 0
+        kept, stages, counts, nxt = [], [], [], 0
         while t < t_bound:
             min_step = 10 * abs(math.nextafter(t, math.inf) - t)
             h_abs = max(h_abs, min_step)
@@ -332,11 +336,17 @@ def _dop853(coefficients, t_out: list, u: complex, v: complex, rtol: float, atol
                 h = t_new - t
                 h_abs = abs(h)
                 ku, kv = [fu], [fv]
-                for c, row in _STAGES:
-                    du, dv = _combine(row, ku, kv)
-                    gu, gv = rhs(t + c * h, u + du * h, v + dv * h)
-                    ku.append(gu)
-                    kv.append(gv)
+                for c, row in _STAGES:  # _combine and rhs, inlined
+                    du = dv = 0j
+                    for j, a in row:
+                        du += a * ku[j]
+                        dv += a * kv[j]
+                    s = t + c * h
+                    _, k, omega_sq = coefficients(s)
+                    last = s
+                    b = v + dv * h
+                    ku.append(b)
+                    kv.append(-k * b - omega_sq * (u + du * h))
                 du, dv = _combine(_B, ku, kv)
                 u_new, v_new = u + h * du, v + h * dv
                 gu, gv = rhs(t + h, u_new, v_new)
@@ -363,52 +373,72 @@ def _dop853(coefficients, t_out: list, u: complex, v: complex, rtol: float, atol
                 rejected = True
 
             if t_out[nxt] <= t_new:
-                for c, row in _EXTRA:
-                    du, dv = _combine(row, ku, kv)
-                    gu, gv = rhs(t + c * h, u + du * h, v + dv * h)
-                    ku.append(gu)
-                    kv.append(gv)
-                evals += 3
-                delta_u, delta_v = u_new - u, v_new - v
-                dense = [_combine(row, ku, kv) for row in _D]
-                segments.append(
-                    (t, h, u, v)
-                    + (delta_u, h * ku[0] - delta_u, 2 * delta_u - h * (ku[12] + ku[0]))
-                    + tuple(h * a for a, _ in dense)
-                    + (delta_v, h * kv[0] - delta_v, 2 * delta_v - h * (kv[12] + kv[0]))
-                    + tuple(h * b for _, b in dense)
-                )
+                kept.append((t, h, u, v, u_new, v_new))
+                stages.append((ku, kv))
                 end = bisect.bisect_right(t_out, t_new, nxt)
                 counts.append(end - nxt)
                 nxt = end
             t, u, v, fu, fv = t_new, u_new, v_new, ku[12], kv[12]
+        evals += 3 * len(kept)
+        u_out, v_out = _dense_output(coefficients, kept, stages, counts, t_grid)
     except ProfileError as exc:
         raise ModeSolverError(
             f"profile became invalid during integration (last good t={last:.6g}): {exc}"
         ) from exc
     except OverflowError:  # abs() of a complex value beyond the float range
         raise ModeSolverError(f"mode integration overflowed after t={t:.6g}") from None
-    return segments, counts, evals
+    return u_out, v_out, evals
 
 
-def _dense_output(segments: list, counts: list, t_grid: np.ndarray):
-    """u and u' at every time of t_grid from the dense-output segments.
+def _stage_sum(row, k: np.ndarray) -> np.ndarray:
+    """sum_j a_j k_j over the nonzero entries (j, a_j) of a tableau row, in
+    the row's order from zero, as _combine sums it (k has one (2, n) block
+    of (u, v) stage values per stage)."""
+    total = np.zeros(k.shape[1:], dtype=complex)
+    for j, a in row:
+        total += a * k[j]
+    return total
 
-    One vectorized pass evaluates SciPy's nested form of the polynomial,
-    y_old + x(F_0 + (1 - x)(F_1 + x(F_2 + ... ))) with x = (t - t_old)/h,
-    one coefficient column at a time.
+
+def _dense_output(coefficients, kept: list, stages: list, counts: list, t_grid):
+    """u and u' at every time of t_grid from the kept steps, all at once.
+
+    For every kept step, column by column in NumPy: the three extra stages
+    (their (m'/m, omega^2) from one scalar ``coefficients`` call per time,
+    the same call the step loop makes), the four D combinations and the
+    seven interpolant coefficients F_0..F_6 of SciPy's Dop853DenseOutput.
+    Each is the step loop's arithmetic in its order, and every product is
+    real x complex, which NumPy rounds as Python does, so the values are
+    those of a per-step evaluation bit for bit.  The polynomial is then
+    evaluated in SciPy's nested form, y_old + x(F_0 + (1 - x)(F_1 + x(F_2 +
+    ... ))) with x = (t - t_old)/h, at each output time.  A non-finite
+    coefficient raises ModeSolverError naming its time.
     """
-    data = np.array(segments, dtype=complex)
-    seg = np.repeat(np.arange(len(counts)), counts)
-    x = (t_grid - data[seg, 0].real) / data[seg, 1].real
+    n = len(kept)
+    kept = np.array(kept, dtype=complex).T
+    t, h, y, y_new = kept[0].real, kept[1].real, kept[2:4], kept[4:]
+    k = np.empty((16, 2, n), dtype=complex)
+    k[:13] = np.array(stages, dtype=complex).T
+    for s, (c, row) in enumerate(_EXTRA, start=13):
+        a, b = y + _stage_sum(row, k) * h
+        times = t + c * h
+        _, rate, omega_sq = np.array([coefficients(time) for time in times.tolist()]).T
+        finite = np.isfinite(rate) & np.isfinite(omega_sq)
+        if not finite.all():
+            bad = float(times[np.argmin(finite)])
+            raise ModeSolverError(f"profile coefficients are not finite at t={bad!r}")
+        k[s, 0] = b
+        k[s, 1] = -rate * b - omega_sq * a
+    delta = y_new - y
+    coeffs = [delta, h * k[0] - delta, 2 * delta - h * (k[12] + k[0])]
+    coeffs += [h * _stage_sum(row, k) for row in _D]
+    seg = np.repeat(np.arange(n), counts)
+    x = (t_grid - t[seg]) / h[seg]
     x_rest = 1 - x
-    out = []
-    for col, first in ((2, 4), (3, 11)):
-        y = data[seg, first + 6] * x
-        for j in range(5, -1, -1):
-            y = (y + data[seg, first + j]) * (x_rest if j % 2 else x)
-        out.append(y + data[seg, col])
-    return out
+    out = coeffs[6][:, seg] * x
+    for j in range(5, -1, -1):
+        out = (out + coeffs[j][:, seg]) * (x_rest if j % 2 else x)
+    return out + y[:, seg]
 
 
 def apply_squeeze(base, sq: SqueezeParams):

@@ -450,6 +450,17 @@ def test_moments_deterministic(tmp_path):
     assert len(report["records"]) == 4 * 33
 
 
+def test_evolve_deterministic(tmp_path):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["evolve", str(SCENARIOS / "quench.json"), "--out", str(out_a)]) == 0
+    assert main(["evolve", str(SCENARIOS / "quench.json"), "--out", str(out_b)]) == 0
+    files_a = sorted(out_a.glob("trajectory_*.csv"))
+    assert [f.name for f in files_a] == sorted(f.name for f in out_b.glob("trajectory_*.csv"))
+    assert len(files_a) == 1 + 3  # base + three states
+    for file_a in files_a:
+        assert file_a.read_bytes() == (out_b / file_a.name).read_bytes()
+
+
 def test_static_compare_requires_static(tmp_path):
     assert (
         main(["static-compare", str(SCENARIOS / "quench.json"), "--out", str(tmp_path)]) == 1

@@ -135,15 +135,23 @@ def test_evolve_quench_mixes_mode(quench_profile):
     assert late.max() - late.min() > 0.1
 
 
-def test_evolve_independent_of_output_grid(quench_profile):
+def test_evolve_independent_of_output_grid(
+    static_profile, quench_profile, mass_ramp_profile, sinusoidal_profile
+):
     # the solve does not depend on the output grid, so every 4th sample of a
     # fine solve is the coarse solve bit for bit: the CLI reads the scenario
-    # time grid off a finer path on this basis
+    # time grid off a finer path on this basis.  So is a sparse grid, on
+    # which most steps cover no output time and keep no dense output
+    ramp = OscillatorProfile.linear_ramp(m0=1.0, omega0=1.0, rate=0.05)
     t_grid = np.linspace(0.0, 10.0, 2001)
-    fine = evolve_mode(quench_profile, wkb_mode(quench_profile, 0.0), t_grid)
-    coarse = evolve_mode(quench_profile, wkb_mode(quench_profile, 0.0), t_grid[::4])
-    assert np.array_equal(coarse.u, fine.u[::4])
-    assert np.array_equal(coarse.u_dot, fine.u_dot[::4])
+    for profile in (static_profile, ramp, sinusoidal_profile, quench_profile, mass_ramp_profile):
+        fine = evolve_mode(profile, wkb_mode(profile, 0.0), t_grid)
+        for every in (4, 400):
+            coarse = evolve_mode(profile, wkb_mode(profile, 0.0), t_grid[::every])
+            assert np.array_equal(coarse.u, fine.u[::every]), profile.kind
+            assert np.array_equal(coarse.u_dot, fine.u_dot[::every]), profile.kind
+        # the sparse solve runs the three extra stages for fewer steps
+        assert coarse.rhs_evals < fine.rhs_evals
 
 
 def test_evolve_validates_inputs(static_profile):
@@ -166,6 +174,32 @@ def test_evolve_reports_profile_failure():
     prof = OscillatorProfile.mass_linear_ramp(m0=1.0, omega0=1.0, rate=-0.2)
     with pytest.raises(ModeSolverError, match="t=5"):
         evolve_mode(prof, wkb_mode(prof, 0.0), np.linspace(0.0, 10.0, 21))
+
+
+class NonFiniteAfter:
+    """A profile whose omega^2 turns infinite after ``calls`` evaluations."""
+
+    def __init__(self, profile, calls):
+        self.profile, self.calls = profile, calls
+
+    def coefficients(self, t):
+        self.calls -= 1
+        m, k, omega_sq = self.profile.coefficients(t)
+        return m, k, omega_sq if self.calls >= 0 else math.inf
+
+    def mass(self, t):
+        return self.profile.mass(t)
+
+
+def test_evolve_refuses_non_finite_dense_output(static_profile):
+    # the dense output's three extra stages are evaluated after the last
+    # step; a non-finite coefficient there is an error, never an inf or NaN
+    # written into the trajectory
+    t_grid = [0.0, 5.0]  # only the last step covers an output time
+    evals = evolve_mode(static_profile, static_mode(1, 1, 0.0), t_grid).rhs_evals
+    profile = NonFiniteAfter(static_profile, evals - 3)
+    with pytest.raises(ModeSolverError, match="not finite"):
+        evolve_mode(profile, static_mode(1, 1, 0.0), t_grid)
 
 
 def scipy_dop853(profile, initial, t_eval, rel_tol):
