@@ -24,11 +24,12 @@ bit for bit.  Output times are read from the 7th-degree dense-output
 polynomial of the step that covers them, and none of that polynomial is
 built in the step loop, which does only what step control needs.  Each
 step that covers output times keeps its start, its length, its start and
-end values and its 13 stage values; after the last step, one NumPy pass
-over all kept steps evaluates the three extra stages, the interpolant's
-seven coefficients per component and every output time, with the loop's
-own operations in its order, so the values are those of a per-step
-evaluation bit for bit.
+end values and its 13 stage values, packed into arrays of up to 1024 steps
+(as Python objects a step takes more than twice the array's 512 bytes);
+after the last step, one NumPy pass per array evaluates the three extra
+stages, the interpolant's seven coefficients per component and every
+output time, with the loop's own operations in its order, so the values
+are those of a per-step evaluation bit for bit.
 
 Wronskian drift of integrated trajectories is monitored and reported but
 never corrected by rescaling; a drifting Wronskian indicates integrator
@@ -206,17 +207,18 @@ def evolve_mode(
     evaluations (kept as ModeTrajectory.rhs_evals); u and u' agree with
     SciPy's to rounding.  The steps depend on the tolerances, not on t_grid,
     so the value at one time does not depend on which other times are
-    requested.  After the last step the dense output of every step that
-    covers an output time is built in one vectorized pass, and each time of
-    t_grid is read from its step's polynomial.  The right-hand side reads
-    (m'/m, omega^2) from one scalar ``profile.coefficients(t)`` call per
-    evaluation, in the step loop and in that pass alike; a non-positive
-    mass raises ModeSolverError naming the last good time, a non-finite
-    coefficient in the dense output raises it naming its time, and a step
-    size below ten units in the last place of t raises it naming the last
-    accepted time.  The initial point must satisfy the Wronskian
-    normalization to 1e-12; drift along the trajectory is reported through
-    ModeTrajectory.max_wronskian_drift, never corrected.
+    requested.  After the last step the dense output of the steps that
+    cover output times is built in vectorized passes of up to 1024 steps,
+    and each time of t_grid is read from its step's polynomial.  The
+    right-hand side reads (m'/m, omega^2) from one scalar
+    ``profile.coefficients(t)`` call per evaluation, in the step loop and in
+    those passes alike; a non-positive mass raises ModeSolverError naming
+    the last good time, a non-finite coefficient in the dense output raises
+    it naming its time, and a step size below ten units in the last place
+    of t raises it naming the last accepted time.  The initial point must
+    satisfy the Wronskian normalization to 1e-12; drift along the
+    trajectory is reported through ModeTrajectory.max_wronskian_drift,
+    never corrected.
     """
     if not 1e-13 <= rel_tol <= 1e-6:
         raise ValueError(f"rel_tol must lie in [1e-13, 1e-6], got {rel_tol}")
@@ -249,11 +251,11 @@ def _nonzero(row) -> tuple:
 
 # The DOP853 tableau (Hairer, Norsett and Wanner, Solving Ordinary
 # Differential Equations I, Sec. II.10) as (c_s, nonzero a_sj) per stage;
-# stage sums then skip the zero entries.
+# stage sums then skip the zero entries.  The last stage is the new point
+# itself, y + h sum_j b_j k_j at t + h, whose slope starts the next step.
 _STAGES = tuple(
     (float(c), _nonzero(a[:s])) for s, (a, c) in enumerate(zip(DOP853.A, DOP853.C)) if s
-)
-_B = _nonzero(DOP853.B)
+) + ((1.0, _nonzero(DOP853.B)),)
 _E3 = _nonzero(DOP853.E3)
 _E5 = _nonzero(DOP853.E5)
 _EXTRA = tuple(
@@ -264,10 +266,13 @@ _D = tuple(_nonzero(row) for row in DOP853.D)
 _EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _SQRT2 = 2**0.5
+#: kept steps packed into one array and given one dense-output pass.
+_BLOCK = 1024
 
 
-def _combine(row, ku: list, kv: list):
-    """sum_j a_j (ku_j, kv_j) over the nonzero entries (j, a_j) of a row."""
+def _combine(row, ku, kv):
+    """sum_j a_j (ku_j, kv_j) over the nonzero entries (j, a_j) of a row;
+    the stage values are complex scalars or, in the dense output, arrays."""
     su = sv = 0j
     for j, a in row:
         su += a * ku[j]
@@ -286,11 +291,12 @@ def _dop853(coefficients, t_grid: np.ndarray, u: complex, v: complex, rtol: floa
 
     The step loop does only what step control needs: the twelve
     right-hand-side evaluations of a step, its new point and its E5/E3
-    error estimate.  Every accepted step that covers output times keeps
-    (t, h, u, v, u_new, v_new) and its 13 stage values, and ``counts`` says
-    how many output times each covers.  The dense output of all kept steps
-    is built after the last step (``_dense_output``), inside the same
-    translation of profile failures and overflow into ModeSolverError.
+    error estimate.  Every accepted step that covers output times keeps one
+    row (t, h, u, v, u_new, v_new and its 13 stage values), every _BLOCK
+    rows are packed into one array, and ``counts`` says how many output
+    times each step covers.  The dense output of each array is built after
+    the last step (``_dense_output``), inside the same translation of
+    profile failures and overflow into ModeSolverError.
     Returns u, u' and the number of right-hand-side evaluations, with three
     extra ones per kept step, as SciPy makes them for t_eval.
     """
@@ -321,7 +327,7 @@ def _dop853(coefficients, t_grid: np.ndarray, u: complex, v: complex, rtol: floa
         h_abs = min(100 * h0, h1, span)
         evals = 2
 
-        kept, stages, counts, nxt = [], [], [], 0
+        rows, blocks, counts, nxt = [], [], [], 0
         while t < t_bound:
             min_step = 10 * abs(math.nextafter(t, math.inf) - t)
             h_abs = max(h_abs, min_step)
@@ -336,22 +342,12 @@ def _dop853(coefficients, t_grid: np.ndarray, u: complex, v: complex, rtol: floa
                 h = t_new - t
                 h_abs = abs(h)
                 ku, kv = [fu], [fv]
-                for c, row in _STAGES:  # _combine and rhs, inlined
-                    du = dv = 0j
-                    for j, a in row:
-                        du += a * ku[j]
-                        dv += a * kv[j]
-                    s = t + c * h
-                    _, k, omega_sq = coefficients(s)
-                    last = s
-                    b = v + dv * h
-                    ku.append(b)
-                    kv.append(-k * b - omega_sq * (u + du * h))
-                du, dv = _combine(_B, ku, kv)
-                u_new, v_new = u + h * du, v + h * dv
-                gu, gv = rhs(t + h, u_new, v_new)
-                ku.append(gu)
-                kv.append(gv)
+                for c, row in _STAGES:
+                    du, dv = _combine(row, ku, kv)
+                    u_new, v_new = u + du * h, v + dv * h
+                    gu, gv = rhs(t + c * h, u_new, v_new)
+                    ku.append(gu)
+                    kv.append(gv)
                 evals += 12
                 su = atol + max(abs(u), abs(u_new)) * rtol
                 sv = atol + max(abs(v), abs(v_new)) * rtol
@@ -373,14 +369,24 @@ def _dop853(coefficients, t_grid: np.ndarray, u: complex, v: complex, rtol: floa
                 rejected = True
 
             if t_out[nxt] <= t_new:
-                kept.append((t, h, u, v, u_new, v_new))
-                stages.append((ku, kv))
+                rows.append((t, h, u, v, u_new, v_new, *ku, *kv))
+                if len(rows) == _BLOCK:
+                    blocks.append(np.array(rows, dtype=complex))
+                    rows = []
                 end = bisect.bisect_right(t_out, t_new, nxt)
                 counts.append(end - nxt)
                 nxt = end
             t, u, v, fu, fv = t_new, u_new, v_new, ku[12], kv[12]
-        evals += 3 * len(kept)
-        u_out, v_out = _dense_output(coefficients, kept, stages, counts, t_grid)
+        if rows:
+            blocks.append(np.array(rows, dtype=complex))
+        evals += 3 * len(counts)
+        out, first = [], 0
+        for i, steps in enumerate(blocks):
+            block_counts = counts[i * _BLOCK : (i + 1) * _BLOCK]
+            stop = first + sum(block_counts)
+            out.append(_dense_output(coefficients, steps, block_counts, t_grid[first:stop]))
+            first = stop
+        u_out, v_out = np.concatenate(out, axis=1)
     except ProfileError as exc:
         raise ModeSolverError(
             f"profile became invalid during integration (last good t={last:.6g}): {exc}"
@@ -390,48 +396,41 @@ def _dop853(coefficients, t_grid: np.ndarray, u: complex, v: complex, rtol: floa
     return u_out, v_out, evals
 
 
-def _stage_sum(row, k: np.ndarray) -> np.ndarray:
-    """sum_j a_j k_j over the nonzero entries (j, a_j) of a tableau row, in
-    the row's order from zero, as _combine sums it (k has one (2, n) block
-    of (u, v) stage values per stage)."""
-    total = np.zeros(k.shape[1:], dtype=complex)
-    for j, a in row:
-        total += a * k[j]
-    return total
+def _dense_output(coefficients, steps: np.ndarray, counts: list, t_grid):
+    """u and u' at the times of t_grid covered by a block of kept steps.
 
-
-def _dense_output(coefficients, kept: list, stages: list, counts: list, t_grid):
-    """u and u' at every time of t_grid from the kept steps, all at once.
-
-    For every kept step, column by column in NumPy: the three extra stages
-    (their (m'/m, omega^2) from one scalar ``coefficients`` call per time,
-    the same call the step loop makes), the four D combinations and the
-    seven interpolant coefficients F_0..F_6 of SciPy's Dop853DenseOutput.
-    Each is the step loop's arithmetic in its order, and every product is
-    real x complex, which NumPy rounds as Python does, so the values are
-    those of a per-step evaluation bit for bit.  The polynomial is then
-    evaluated in SciPy's nested form, y_old + x(F_0 + (1 - x)(F_1 + x(F_2 +
-    ... ))) with x = (t - t_old)/h, at each output time.  A non-finite
-    coefficient raises ModeSolverError naming its time.
+    ``steps`` holds one row (t, h, u, v, u_new, v_new, k_0..k_12 for u,
+    k_0..k_12 for v) per step.  For all of them at once, column by column in
+    NumPy: the three extra stages (their (m'/m, omega^2) from one scalar
+    ``coefficients`` call per time, the same call the step loop makes), the
+    four D combinations and the seven interpolant coefficients F_0..F_6 of
+    SciPy's Dop853DenseOutput.  Each is the step loop's arithmetic in its
+    order, and every product is real x complex, which NumPy rounds as Python
+    does, so the values are those of a per-step evaluation bit for bit.  The
+    polynomial is then evaluated in SciPy's nested form, y_old + x(F_0 +
+    (1 - x)(F_1 + x(F_2 + ... ))) with x = (t - t_old)/h, at each output
+    time.  A non-finite coefficient raises ModeSolverError naming its time.
     """
-    n = len(kept)
-    kept = np.array(kept, dtype=complex).T
-    t, h, y, y_new = kept[0].real, kept[1].real, kept[2:4], kept[4:]
+    steps = steps.T
+    n = steps.shape[1]
+    t, h, y, y_new = steps[0].real, steps[1].real, steps[2:4], steps[4:6]
     k = np.empty((16, 2, n), dtype=complex)
-    k[:13] = np.array(stages, dtype=complex).T
+    k[:13, 0], k[:13, 1] = steps[6:19], steps[19:]
+    ku, kv = k[:, 0], k[:, 1]
     for s, (c, row) in enumerate(_EXTRA, start=13):
-        a, b = y + _stage_sum(row, k) * h
+        du, dv = _combine(row, ku, kv)
+        a, b = y[0] + du * h, y[1] + dv * h
         times = t + c * h
         _, rate, omega_sq = np.array([coefficients(time) for time in times.tolist()]).T
         finite = np.isfinite(rate) & np.isfinite(omega_sq)
         if not finite.all():
             bad = float(times[np.argmin(finite)])
             raise ModeSolverError(f"profile coefficients are not finite at t={bad!r}")
-        k[s, 0] = b
-        k[s, 1] = -rate * b - omega_sq * a
+        ku[s] = b
+        kv[s] = -rate * b - omega_sq * a
     delta = y_new - y
     coeffs = [delta, h * k[0] - delta, 2 * delta - h * (k[12] + k[0])]
-    coeffs += [h * _stage_sum(row, k) for row in _D]
+    coeffs += [h * np.array(_combine(row, ku, kv)) for row in _D]
     seg = np.repeat(np.arange(n), counts)
     x = (t_grid - t[seg]) / h[seg]
     x_rest = 1 - x

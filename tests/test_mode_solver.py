@@ -23,7 +23,7 @@ from tdho import (
     wkb_mode,
     wronskian,
 )
-from tdho import cli
+from tdho import cli, mode_solver
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -152,6 +152,20 @@ def test_evolve_independent_of_output_grid(
             assert np.array_equal(coarse.u_dot, fine.u_dot[::every]), profile.kind
         # the sparse solve runs the three extra stages for fewer steps
         assert coarse.rhs_evals < fine.rhs_evals
+
+
+def test_evolve_independent_of_dense_output_blocks(monkeypatch, sinusoidal_profile):
+    # kept steps are packed into arrays of _BLOCK steps, each given its own
+    # dense-output pass; the size of the arrays changes no value
+    t_grid = np.linspace(0.0, 10.0, 2001)
+    initial = wkb_mode(sinusoidal_profile, 0.0)
+    whole = evolve_mode(sinusoidal_profile, initial, t_grid)
+    for block in (1, 7):
+        monkeypatch.setattr(mode_solver, "_BLOCK", block)
+        split = evolve_mode(sinusoidal_profile, initial, t_grid)
+        assert np.array_equal(split.u, whole.u)
+        assert np.array_equal(split.u_dot, whole.u_dot)
+        assert split.rhs_evals == whole.rhs_evals
 
 
 def test_evolve_validates_inputs(static_profile):

@@ -1,15 +1,14 @@
 """Compare the output files of two tdho source trees on one request set.
 
-    python3 tools/outdiff.py OLD_SRC NEW_SRC [--seeds 101 2001] [--count 24]
-        [--workloads mode_solve state_sweep verify_suite] [--work DIR]
+    python3 tools/outdiff.py OLD_SRC NEW_SRC [--seeds 101 2001] [--count 24] [--work DIR]
 
 OLD_SRC and NEW_SRC are directories that hold the ``tdho`` package (a
 checkout's ``src``); they may be the same tree.  The request set is the
 shipped scenarios, with every subcommand as CI runs them, and the first
-``--count`` scenarios of each benchmark workload at each seed, drawn by
-``perfbench/workloads.py`` (imported, never changed).  Each tree replays
-the whole set in its own interpreter, in process through ``tdho.cli.main``,
-every request writing to its own directory.
+``--count`` scenarios of every benchmark workload at each seed, drawn and
+laid out by ``perfbench/workloads.py`` (imported, never changed).  Each
+tree replays the whole set in its own interpreter, in process through
+``tdho.cli.main``, every request writing to its own directory.
 
 The report compares the two replays request by request and file by file:
 exit codes, standard output and error (with the output directory masked),
@@ -39,7 +38,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("mode_solve", "state_sweep", "verify_suite")
 RESULTS = "results.json"
 
 
@@ -63,21 +61,23 @@ def _shipped_requests(work: Path) -> list:
     return requests
 
 
-def _workload_requests(work: Path, names, seeds, count: int) -> list:
+def _workload_requests(work: Path, seeds, count: int) -> list:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     requests = []
-    for name in names:
+    for name in workloads.WORKLOADS:
         for seed in seeds:
-            group = f"{name}-{seed}"
+            group = work / f"{name}-{seed}"
             for sc in workloads.generate(name, seed, count):
-                workloads.write(sc, work / group)
-                path = sc.path(work / group)
-                requests += [
-                    _request(f"{group}/{sc.name}/{i}-{c[0]}", c, path)
-                    for i, c in enumerate(sc.requests)
-                ]
+                workloads.write(sc, group)
+                out = str(sc.out_dir(group))
+                for i, command in enumerate(sc.requests):
+                    argv = workloads.argv(sc, command, group)
+                    requests.append({
+                        "id": f"{group.name}/{sc.name}/{i}-{command[0]}",
+                        "argv": ["{out}" if a == out else a for a in argv],
+                    })
     return requests
 
 
@@ -291,7 +291,6 @@ def main(argv=None) -> int:
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--seeds", type=int, nargs="*", default=[101, 2001])
     parser.add_argument("--count", type=int, default=24, help="scenarios per workload and seed")
-    parser.add_argument("--workloads", nargs="*", default=list(WORKLOADS), choices=WORKLOADS)
     parser.add_argument("--work", type=Path, help="kept working directory (default: a temporary one)")
     args = parser.parse_args(argv)
     for src in (args.old_src, args.new_src):
@@ -300,7 +299,7 @@ def main(argv=None) -> int:
     work = args.work or Path(tempfile.mkdtemp(prefix="outdiff-"))
     try:
         requests = _shipped_requests(work)
-        requests += _workload_requests(work, args.workloads, args.seeds, args.count)
+        requests += _workload_requests(work, args.seeds, args.count)
         requests_file = work / "requests.json"
         requests_file.write_text(json.dumps(requests), encoding="utf-8")
         old = _run_tree(args.old_src.resolve(), requests_file, work / "old")
